@@ -33,8 +33,8 @@ def _cmd_peel(args) -> int:
             )
             for rec in trace.rounds:
                 f.write(
-                    f"{rec.index},{rec.removed_vertices.size},"
-                    f"{rec.removed_edges.size},{rec.surviving_vertex_count},"
+                    f"{rec.index},{rec.removed_vertex_count},"
+                    f"{rec.removed_edge_count},{rec.surviving_vertex_count},"
                     f"{rec.surviving_edge_count},{rec.surviving_deg_ge_k_count}\n"
                 )
     return 0

@@ -102,7 +102,7 @@ def run_trial(params: ModelParams, i_probe: int = 30) -> TrialRecord:
         core_vertices=int(trace.core_vertices.size),
         core_edges=int(trace.core_edges.size),
         max_component_after_I=max_comp,
-        rounds_removed_counts=[int(r.removed_vertices.size) for r in trace.rounds],
+        rounds_removed_counts=[r.removed_vertex_count for r in trace.rounds],
     )
 
 

@@ -1,4 +1,4 @@
-"""Static r-uniform hypergraphs with array-backed degree and incidence queries.
+"""Static r-uniform hypergraphs with array-backed degree queries.
 
 Vertices are dense integer ids 0..n-1.  Edges are stored as an (m, r) int64
 array with each row sorted ascending; the row order of the input is preserved,
@@ -7,7 +7,7 @@ so reading a file and writing it back is byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -24,9 +24,6 @@ class Hypergraph:
     n: int
     edges: np.ndarray  # shape (m, r), rows sorted ascending
 
-    _indptr: np.ndarray = field(default=None, repr=False, compare=False)
-    _incident: np.ndarray = field(default=None, repr=False, compare=False)
-
     @property
     def m(self) -> int:
         return self.edges.shape[0]
@@ -40,30 +37,7 @@ class Hypergraph:
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise VertexRangeError(f"vertex {v} not in [0, {self.n})")
-        self._build_incidence()
-        return int(self._indptr[v + 1] - self._indptr[v])
-
-    def incident_edges(self, v: int) -> np.ndarray:
-        """Indices of the edges containing v (ascending)."""
-        if not 0 <= v < self.n:
-            raise VertexRangeError(f"vertex {v} not in [0, {self.n})")
-        self._build_incidence()
-        return self._incident[self._indptr[v] : self._indptr[v + 1]]
-
-    def _build_incidence(self) -> None:
-        # CSR-style index: _incident holds edge ids grouped by vertex.
-        if self._indptr is not None:
-            return
-        deg = self.degrees()
-        self._indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(deg, out=self._indptr[1:])
-        if self.m == 0:
-            self._incident = np.empty(0, dtype=np.int64)
-            return
-        verts = self.edges.ravel()
-        eids = np.repeat(np.arange(self.m, dtype=np.int64), self.r)
-        order = np.argsort(verts, kind="stable")
-        self._incident = eids[order]
+        return int(self.degrees()[v])
 
 
 def build_hypergraph(r: int, n: int, edges) -> Hypergraph:
@@ -166,11 +140,16 @@ def read_hg(path) -> Hypergraph:
     header = None
     edges = []
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = [int(x) for x in line.split()]
+            try:
+                parts = [int(x) for x in line.split()]
+            except ValueError:
+                raise PeelkitError(
+                    f"{path} line {lineno}: non-integer token in {line!r}"
+                ) from None
             if header is None:
                 if len(parts) != 3:
                     raise PeelkitError(f"bad .hg header: {line!r}")

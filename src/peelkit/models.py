@@ -48,6 +48,8 @@ class ModelParams:
     def __post_init__(self):
         if self.r < 2:
             raise PeelkitError(f"r must be >= 2, got {self.r}")
+        if self.n < self.r:
+            raise PeelkitError(f"n must be >= r = {self.r}, got {self.n}")
         if self.k is not None and self.k < 2:
             raise PeelkitError(f"k must be >= 2, got {self.k}")
         if self.c < 0:

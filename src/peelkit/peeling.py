@@ -1,15 +1,20 @@
-"""Round-synchronous parallel peeling to the k-core, with a per-round trace,
-plus a sequential one-vertex-at-a-time k-core oracle.
+"""Round-synchronous parallel peeling to the k-core, with a per-vertex round
+trace, plus a sequential one-vertex-at-a-time k-core oracle.
 
 Each round simultaneously removes every vertex whose current degree is below
 k, together with all incident edges; removals are computed from the state at
 round start only.  The round count s counts only rounds that removed at least
 one vertex, so a graph that already is a k-core has s = 0.
+
+The trace stores, for every vertex and every edge, the round that removed it
+(0 = still there in the k-core), plus per-round counts.  The graph after any
+number of rounds is one comparison against those arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,8 +24,8 @@ from .hypergraph import Hypergraph
 @dataclass
 class RoundRecord:
     index: int  # 1-based round number
-    removed_vertices: np.ndarray
-    removed_edges: np.ndarray
+    removed_vertex_count: int
+    removed_edge_count: int
     surviving_vertex_count: int
     surviving_edge_count: int
     surviving_deg_ge_k_count: int
@@ -29,71 +34,100 @@ class RoundRecord:
 @dataclass
 class PeelingTrace:
     k: int
-    n: int
-    m: int
     initial_deg_ge_k: int
     rounds: list
-    s: int
-    core_vertices: np.ndarray
-    core_edges: np.ndarray
+    vertex_round: np.ndarray  # round that removed each vertex; 0 = in the core
+    edge_round: np.ndarray  # round that removed each edge; 0 = in the core
+
+    @property
+    def n(self) -> int:
+        return self.vertex_round.size
+
+    @property
+    def m(self) -> int:
+        return self.edge_round.size
+
+    @property
+    def s(self) -> int:
+        return len(self.rounds)
+
+    @cached_property
+    def core_vertices(self) -> np.ndarray:
+        return np.flatnonzero(self.vertex_round == 0)
+
+    @cached_property
+    def core_edges(self) -> np.ndarray:
+        return np.flatnonzero(self.edge_round == 0)
 
 
 def parallel_peel(h: Hypergraph, k: int) -> PeelingTrace:
-    """Peel h to its k-core, recording every round.
+    """Peel h to its k-core, recording the round that removes each vertex
+    and edge.
 
     Vertices of degree 0 (including initially isolated ones) are removed like
-    any other vertex of degree < k.
+    any other vertex of degree < k.  The live edges are kept as r contiguous
+    index columns, so a round is one gather per column, one bincount of the
+    removed edges' vertices and one compaction.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n, m = h.n, h.m
-    deg = h.degrees()
-    alive = np.ones(n, dtype=bool)
-    edges_cur = h.edges
-    eids_cur = np.arange(m, dtype=np.int64)
+    # int32 ids halve the memory traffic of every gather and compaction.
+    idx = np.int32 if max(n, m) < np.iinfo(np.int32).max else np.int64
+    # No degree exceeds m, so deg < k is the test deg < min(k, m + 1).  The
+    # clamped value fits idx and marks removed vertices as never removable.
+    k_eff = min(k, m + 1)
+    deg = h.degrees().astype(idx)
+    cols = [np.ascontiguousarray(h.edges[:, j], dtype=idx) for j in range(h.r)]
+    eids = np.arange(m, dtype=idx)
+    vertex_round = np.zeros(n, dtype=idx)
+    edge_round = np.zeros(m, dtype=idx)
 
-    rounds = []
+    removable = deg < k_eff
     alive_count, edge_count = n, m
+    trace = PeelingTrace(
+        k=k,
+        initial_deg_ge_k=n - int(np.count_nonzero(removable)),
+        rounds=[],
+        vertex_round=vertex_round,
+        edge_round=edge_round,
+    )
     while True:
-        removable = alive & (deg < k)
         ids = np.flatnonzero(removable)
         if ids.size == 0:
             break
-        alive[ids] = False
+        i = trace.s + 1
+        vertex_round[ids] = i
         alive_count -= ids.size
-        if edge_count:
-            hit = removable[edges_cur].any(axis=1)
-            gone = eids_cur[hit]
-            if gone.size:
-                dec = np.bincount(edges_cur[hit].ravel(), minlength=n)
-                deg -= dec
-                edges_cur = edges_cur[~hit]
-                eids_cur = eids_cur[~hit]
-                edge_count -= gone.size
-        else:
-            gone = np.empty(0, dtype=np.int64)
-        dgk = int(np.count_nonzero(alive & (deg >= k)))
-        rounds.append(
+        hit = removable[cols[0]]
+        for col in cols[1:]:
+            hit |= removable[col]
+        hit_pos = np.flatnonzero(hit)
+        gone = hit_pos.size
+        if gone:
+            edge_round[eids[hit_pos]] = i
+            deg -= np.bincount(
+                np.concatenate([col[hit_pos] for col in cols]), minlength=n
+            )
+            keep = ~hit
+            cols = [col[keep] for col in cols]
+            eids = eids[keep]
+            edge_count -= gone
+        # Park removed vertices at k_eff: all their edges went this round, so
+        # no later decrement can make them removable again.
+        deg[ids] = k_eff
+        np.less(deg, k_eff, out=removable)
+        trace.rounds.append(
             RoundRecord(
-                index=len(rounds) + 1,
-                removed_vertices=ids,
-                removed_edges=gone,
+                index=i,
+                removed_vertex_count=ids.size,
+                removed_edge_count=gone,
                 surviving_vertex_count=alive_count,
                 surviving_edge_count=edge_count,
-                surviving_deg_ge_k_count=dgk,
+                surviving_deg_ge_k_count=alive_count - int(np.count_nonzero(removable)),
             )
         )
-    initial_deg = h.degrees()
-    return PeelingTrace(
-        k=k,
-        n=n,
-        m=m,
-        initial_deg_ge_k=int(np.count_nonzero(initial_deg >= k)),
-        rounds=rounds,
-        s=len(rounds),
-        core_vertices=np.flatnonzero(alive),
-        core_edges=eids_cur,
-    )
+    return trace
 
 
 def sequential_kcore(h: Hypergraph, k: int):
@@ -156,9 +190,8 @@ def graph_after_rounds(trace: PeelingTrace, i: int):
     i = 0 returns the whole graph."""
     if i < 0:
         raise ValueError(f"round index must be >= 0, got {i}")
-    alive_v = np.ones(trace.n, dtype=bool)
-    alive_e = np.ones(trace.m, dtype=bool)
-    for rec in trace.rounds[: min(i, trace.s)]:
-        alive_v[rec.removed_vertices] = False
-        alive_e[rec.removed_edges] = False
-    return np.flatnonzero(alive_v), np.flatnonzero(alive_e)
+    i = min(i, trace.s)
+    return (
+        np.flatnonzero((trace.vertex_round == 0) | (trace.vertex_round > i)),
+        np.flatnonzero((trace.edge_round == 0) | (trace.edge_round > i)),
+    )

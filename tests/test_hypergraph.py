@@ -187,3 +187,9 @@ class TestHgFormat:
         path.write_text("2 3 5\n0 1\n")
         with pytest.raises(PeelkitError):
             read_hg(path)
+
+    def test_non_integer_token_names_line(self, tmp_path):
+        path = tmp_path / "bad.hg"
+        path.write_text("# comment\n3 4 2\n0 1 2\n0 1 x\n")
+        with pytest.raises(PeelkitError, match="line 4"):
+            read_hg(path)

@@ -117,6 +117,12 @@ class TestModelParams:
         with pytest.raises(PeelkitError):
             ModelParams(r=1, n=10, c=0.5, seed=0)
 
+    def test_n_below_r_rejected(self):
+        for n in (0, 1, 2):
+            with pytest.raises(PeelkitError):
+                ModelParams(r=3, n=n, c=1.0, seed=0)
+        assert ModelParams(r=3, n=3, c=1.0, seed=0).p == pytest.approx(1 / 9)
+
 
 class TestSampler:
     def test_p_one_complete_graph(self):

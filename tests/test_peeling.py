@@ -37,8 +37,7 @@ class TestParallelPeel:
     def test_path_two_rounds(self):
         trace = parallel_peel(path3(), 2)
         assert trace.s == 2
-        assert trace.rounds[0].removed_vertices.tolist() == [0, 2]
-        assert trace.rounds[1].removed_vertices.tolist() == [1]
+        assert trace.vertex_round.tolist() == [1, 2, 1]
         assert trace.core_vertices.size == 0
         assert trace.core_edges.size == 0
 
@@ -46,7 +45,7 @@ class TestParallelPeel:
         h = build_hypergraph(3, 3, [(0, 1, 2)])
         trace = parallel_peel(h, 2)
         assert trace.s == 1
-        assert trace.rounds[0].removed_vertices.tolist() == [0, 1, 2]
+        assert trace.vertex_round.tolist() == [1, 1, 1]
         assert trace.core_vertices.size == 0
 
     def test_empty_graph(self):
@@ -56,7 +55,8 @@ class TestParallelPeel:
     def test_isolated_vertices_removed_round_one(self):
         trace = parallel_peel(build_hypergraph(2, 4, []), 1)
         assert trace.s == 1
-        assert trace.rounds[0].removed_vertices.tolist() == [0, 1, 2, 3]
+        assert trace.vertex_round.tolist() == [1, 1, 1, 1]
+        assert trace.rounds[0].removed_vertex_count == 4
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -65,17 +65,22 @@ class TestParallelPeel:
     def test_edge_removed_in_first_incident_round(self):
         trace = parallel_peel(path3(), 2)
         # both edges lose an endpoint in round 1
-        assert trace.rounds[0].removed_edges.tolist() == [0, 1]
-        assert trace.rounds[1].removed_edges.size == 0
+        assert trace.edge_round.tolist() == [1, 1]
+        assert [r.removed_edge_count for r in trace.rounds] == [2, 0]
 
     def test_round_partition(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             h = random_hypergraph(rng, int(rng.integers(5, 40)), 2, 0.1)
             trace = parallel_peel(h, 2)
-            pieces = [r.removed_vertices for r in trace.rounds] + [trace.core_vertices]
-            allv = np.concatenate(pieces) if pieces else np.empty(0)
-            assert sorted(allv.tolist()) == list(range(h.n))
+            # every vertex gets exactly one round in 0..s (0 = core), and
+            # the per-round counts agree with the per-vertex rounds
+            per_round = np.bincount(trace.vertex_round, minlength=trace.s + 1)
+            assert per_round.size == trace.s + 1
+            assert per_round[0] == trace.core_vertices.size
+            assert per_round[1:].tolist() == [
+                r.removed_vertex_count for r in trace.rounds
+            ]
 
     def test_core_degree_at_least_k(self):
         rng = np.random.default_rng(7)
@@ -118,7 +123,7 @@ class TestParallelPeel:
             trace = parallel_peel(h, 2)
             assert trace.s <= n
             for rec in trace.rounds:
-                assert rec.removed_vertices.size >= 1
+                assert rec.removed_vertex_count >= 1
             counts = [(r.surviving_vertex_count, r.surviving_edge_count)
                       for r in trace.rounds]
             assert counts == sorted(counts, reverse=True)

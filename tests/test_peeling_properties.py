@@ -1,0 +1,84 @@
+"""Property tests for parallel peeling on arbitrary small hypergraphs,
+including n = 0, k = 1 and edge-less graphs."""
+
+import itertools
+from collections import Counter
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from peelkit import build_hypergraph, graph_after_rounds, parallel_peel, sequential_kcore
+
+
+@st.composite
+def hypergraphs(draw):
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(0, 10))
+    pool = list(itertools.combinations(range(n), r))
+    edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=30)) if pool else []
+    return build_hypergraph(r, n, edges)
+
+
+def replay(h, k):
+    """Round-synchronous peeling from scratch with Python sets: the surviving
+    (vertices, edges) before round 1 and after every round that removed a
+    vertex."""
+    edges = h.edges.tolist()
+    alive_v, alive_e = set(range(h.n)), set(range(h.m))
+    states = [(sorted(alive_v), sorted(alive_e))]
+    while True:
+        deg = Counter(v for e in alive_e for v in edges[e])
+        gone = {v for v in alive_v if deg[v] < k}
+        if not gone:
+            return states
+        alive_v -= gone
+        alive_e = {e for e in alive_e if gone.isdisjoint(edges[e])}
+        states.append((sorted(alive_v), sorted(alive_e)))
+
+
+def deg_ge_k(h, k, state):
+    verts, eids = state
+    deg = Counter(v for e in h.edges[eids].tolist() for v in e)
+    return sum(deg[v] >= k for v in verts)
+
+
+settings_ = settings(max_examples=300, deadline=None)
+k_values = st.integers(1, 4)
+
+
+@settings_
+@given(hypergraphs(), k_values)
+@example(build_hypergraph(2, 0, []), 1)
+@example(build_hypergraph(3, 5, []), 1)
+@example(build_hypergraph(3, 5, []), 2)
+def test_parallel_matches_sequential(h, k):
+    trace = parallel_peel(h, k)
+    core_v, core_e = sequential_kcore(h, k)
+    assert trace.core_vertices.tolist() == core_v.tolist()
+    assert trace.core_edges.tolist() == core_e.tolist()
+
+
+@settings_
+@given(hypergraphs(), k_values)
+@example(build_hypergraph(2, 0, []), 1)
+@example(build_hypergraph(2, 4, []), 1)
+def test_trace_matches_replay(h, k):
+    trace = parallel_peel(h, k)
+    states = replay(h, k)
+    assert trace.s == len(states) - 1
+    assert trace.initial_deg_ge_k == deg_ge_k(h, k, states[0])
+    for i in range(trace.s + 3):
+        v, e = graph_after_rounds(trace, i)
+        assert (v.tolist(), e.tolist()) == states[min(i, trace.s)]
+    for rec, before, after in zip(trace.rounds, states, states[1:]):
+        assert rec.removed_vertex_count == len(before[0]) - len(after[0])
+        assert rec.removed_edge_count == len(before[1]) - len(after[1])
+        assert rec.surviving_vertex_count == len(after[0])
+        assert rec.surviving_edge_count == len(after[1])
+        assert rec.surviving_deg_ge_k_count == deg_ge_k(h, k, after)
+    assert sum(r.removed_vertex_count for r in trace.rounds) == h.n - trace.core_vertices.size
+    assert sum(r.removed_edge_count for r in trace.rounds) == h.m - trace.core_edges.size
+    # an edge goes in the first round that removes one of its vertices
+    vround = trace.vertex_round.tolist()
+    for e, got in zip(h.edges.tolist(), trace.edge_round.tolist()):
+        assert got == min((vround[v] for v in e if vround[v]), default=0)
