@@ -16,7 +16,6 @@ from .density import (
 from .errors import (
     BracketError,
     BudgetExceededError,
-    CapacityError,
     DuplicateEdgeError,
     EdgeArityError,
     PeelkitError,
@@ -44,10 +43,7 @@ from .hypergraph import (
 from .models import (
     ModelParams,
     mix_seed,
-    rank_subset,
     sample_binomial_hypergraph,
-    skip_sample,
-    unrank_subset,
 )
 from .peeling import (
     PeelingTrace,
@@ -66,4 +62,4 @@ from .thresholds import (
     threshold_report,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

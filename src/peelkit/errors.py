@@ -17,10 +17,6 @@ class DuplicateEdgeError(PeelkitError):
     """The same edge (as a set) appears more than once."""
 
 
-class CapacityError(PeelkitError):
-    """A subset rank would not fit in the supported integer width."""
-
-
 class BudgetExceededError(PeelkitError):
     """A brute-force enumeration would exceed the configured budget."""
 

@@ -42,6 +42,16 @@ class SweepConfig:
             raise PeelkitError(f"points must be >= 3, got {self.points}")
         if self.trials < 1:
             raise PeelkitError(f"trials must be >= 1, got {self.trials}")
+        # n_max == n_min is a deliberate one-n sweep; any other range must
+        # give `points` increasing n (a reversed one gives only n_min), or the
+        # growth fit fails after the sweep.
+        grid = self.n_grid()
+        if self.n_max != self.n_min and len(grid) < self.points:
+            raise PeelkitError(
+                f"n grid {grid} from n_min={self.n_min}, n_max={self.n_max}, "
+                f"points={self.points} does not have {self.points} distinct "
+                f"increasing values"
+            )
 
     def n_grid(self) -> list[int]:
         grid = np.geomspace(self.n_min, self.n_max, self.points)

@@ -2,10 +2,11 @@
 p = c / n^(r-1).
 
 Every one of the C(n, r) possible edges is included independently with
-probability p.  Instead of iterating all C(n, r) trials, the included ranks
-are drawn by geometric skip-sampling and converted to vertex tuples by
-colexicographic unranking.  Given the same seed the edge list is bit-identical
-across runs and platforms.
+probability p.  Given its edge count m ~ Binomial(C(n, r), p), that edge set
+is a uniform m-set of r-subsets, so the sampler draws m first and then m
+distinct uniform r-subsets.  One path serves every (n, r); no subset is ever
+ranked.  Given the same seed the edge list is bit-identical across runs and
+platforms.
 """
 
 from __future__ import annotations
@@ -15,15 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, PeelkitError
+from .errors import PeelkitError
 from .hypergraph import Hypergraph
 
 _MASK64 = (1 << 64) - 1
-
-# Ranks are kept as arbitrary-precision ints in the scalar API; the sampler's
-# vectorized fast path requires C(n, r) < 2^64 and the slow exact path covers
-# ranks up to 2^127.
-RANK_CAPACITY_BITS = 127
 
 
 def mix_seed(master_seed: int, index: int) -> int:
@@ -50,9 +46,11 @@ class ModelParams:
             raise PeelkitError(f"r must be >= 2, got {self.r}")
         if self.n < self.r:
             raise PeelkitError(f"n must be >= r = {self.r}, got {self.n}")
+        if self.n >= 1 << 63:
+            raise PeelkitError(f"n = {self.n} does not fit int64 vertex ids")
         if self.k is not None and self.k < 2:
             raise PeelkitError(f"k must be >= 2, got {self.k}")
-        if self.c < 0:
+        if not self.c >= 0:  # also rejects nan
             raise PeelkitError(f"c must be >= 0, got {self.c}")
         if self.p > 1.0:
             raise PeelkitError(
@@ -64,162 +62,148 @@ class ModelParams:
         return self.c / float(self.n) ** (self.r - 1)
 
 
-def rank_subset(subset, n: int) -> int:
-    """Colexicographic rank of a sorted r-subset of [0, n):
-    sum_j C(subset[j], j+1)."""
-    prev = -1
-    rank = 0
-    for j, v in enumerate(subset):
-        if v <= prev:
-            raise PeelkitError(f"subset {tuple(subset)} is not strictly increasing")
-        if not 0 <= v < n:
-            raise PeelkitError(f"subset element {v} outside [0, {n})")
-        rank += math.comb(v, j + 1)
-        prev = v
-    return rank
+def _edge_count(total: int, p: float, rng: np.random.Generator) -> int:
+    """m ~ Binomial(total, p): the number of successes among `total`
+    independent Bernoulli(p) trials, counted as the geometric gaps
+    G ~ P(G = g) = (1-p)^g * p between successes that fit in `total` trials.
 
-
-def unrank_subset(rank: int, r: int, n: int) -> tuple:
-    """The rank-th r-subset of [0, n) in colexicographic order."""
-    if not 0 <= rank < math.comb(n, r):
-        raise PeelkitError(f"rank {rank} outside [0, C({n},{r}))")
-    out = []
-    for j in range(r, 0, -1):
-        # Largest v with C(v, j) <= rank; v < n always holds for valid ranks.
-        lo, hi = j - 1, n - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if math.comb(mid, j) <= rank:
-                lo = mid
-            else:
-                hi = mid - 1
-        out.append(lo)
-        rank -= math.comb(lo, j)
-    return tuple(reversed(out))
-
-
-def skip_sample(num_trials: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Indices of the successes among `num_trials` independent Bernoulli(p)
-    trials, via geometric gaps G with P(G = g) = (1-p)^g * p.
-
-    Returns a strictly increasing uint64 array.  Requires num_trials < 2^64.
+    Precision: the gaps are floor(log(U) / log(1-p)) in float64 and their
+    running sum is a float64 cumsum compared with float(total).  Below 2^53
+    every partial sum is exact.  Above, each addition rounds by at most one
+    ulp of 2 * total, so after j steps a partial sum is off by at most
+    j * ulp(2 * total) <= j * total * 2^-51.  The count differs from the
+    exact-arithmetic count only if an exact partial sum falls within that
+    error of `total`, and a partial sum lands on a given integer with
+    probability p.  So the law of m is within total-variation distance
+    m * total * p * 2^-51 ~ m^2 * 2^-51 of Binomial(total, p) in the worst
+    case; rounding errors that partly cancel (a random walk) make it about
+    m^1.5 * 2^-51, under 1e-5 at m = 4.3M.
     """
-    if not 0.0 <= p <= 1.0:
-        raise PeelkitError(f"probability p = {p} outside [0, 1]")
-    if num_trials >= 1 << 64:
-        raise CapacityError(f"num_trials = {num_trials} exceeds 2^64")
-    if num_trials == 0 or p == 0.0:
-        return np.empty(0, dtype=np.uint64)
+    if p == 0.0:
+        return 0
     if p == 1.0:
-        return np.arange(num_trials, dtype=np.uint64)
-
-    # Extended-precision cumsum keeps integer steps exact below 2^64.
-    ld = np.longdouble
-    if np.finfo(ld).nmant < 63:
-        return _skip_sample_scalar(num_trials, p, rng)
-
+        return total
     log1mp = math.log1p(-p)
-    expected = num_trials * p
-    chunks = []
-    offset = ld(0)
-    bound = ld(num_trials)
+    size = float(total)
+    count, pos = 0, 0.0
     while True:
-        batch = int(expected - float(offset) * p) + 8 * int(math.sqrt(expected)) + 64
-        u = 1.0 - rng.random(batch)  # uniform on (0, 1]
-        gaps = np.floor(np.log(u) / log1mp)
-        np.minimum(gaps, float(num_trials), out=gaps)
-        steps = gaps.astype(ld) + 1
-        positions = offset + np.cumsum(steps)
-        cut = np.searchsorted(positions, bound, side="right")
-        if cut < batch:
-            chunks.append(positions[:cut])
-            break
-        chunks.append(positions)
-        offset = positions[-1]
-    if not chunks:
-        return np.empty(0, dtype=np.uint64)
-    positions = np.concatenate(chunks) - 1
-    return positions.astype(np.uint64)
+        expected = (size - pos) * p
+        batch = int(expected + 8 * math.sqrt(expected)) + 64
+        with np.errstate(over="ignore"):  # an infinite gap ends the count
+            steps = np.floor(np.log1p(-rng.random(batch)) / log1mp) + 1.0
+            steps[0] += pos
+            ends = np.cumsum(steps)
+        fit = int(np.searchsorted(ends, size, side="right"))
+        count += fit
+        if fit < batch:
+            return count
+        pos = float(ends[-1])
 
 
-def _skip_sample_scalar(num_trials: int, p: float, rng: np.random.Generator) -> list:
-    """Exact fallback using Python ints; slow, for huge or odd platforms."""
-    log1mp = math.log1p(-p)
-    out = []
-    pos = -1
-    while True:
-        gap = int(math.log(1.0 - rng.random()) / log1mp) if p < 1.0 else 0
-        pos += gap + 1
-        if pos >= num_trials:
-            return out
-        out.append(pos)
+def _random_subsets(n: int, r: int, size: int, rng: np.random.Generator) -> list:
+    """`size` i.i.d. uniform r-subsets of [0, n) as r columns, each row
+    ascending.
+
+    Rows are drawn by Floyd's algorithm (for j = n-r .. n-1 take t uniform in
+    [0, j], or j itself if t was taken), which never repeats a vertex, so no
+    row is rejected even when r is close to n.  An odd-even transposition
+    network of column minima and maxima then sorts each row.
+    """
+    cols = []
+    for j in range(n - r, n):
+        t = rng.integers(0, j + 1, size=size)
+        for col in cols:
+            np.copyto(t, j, where=t == col)
+        cols.append(t)
+    for start in range(r):
+        for a in range(start % 2, r - 1, 2):
+            lo = np.minimum(cols[a], cols[a + 1])
+            cols[a + 1] = np.maximum(cols[a], cols[a + 1])
+            cols[a] = lo
+    return cols
 
 
-def _binomial_table(n: int, r: int) -> list:
-    """tables[j][i] = C(i, j) for j = 1..r, i = 0..n, as uint64 arrays.
-    Valid only when C(n, r) < 2^64."""
-    tables = [None, np.arange(n + 1, dtype=np.uint64)]
-    for j in range(2, r + 1):
-        col = np.zeros(n + 1, dtype=np.uint64)
-        np.cumsum(tables[j - 1][:-1], out=col[1:])  # C(i,j) = sum_{t<i} C(t,j-1)
-        tables.append(col)
-    return tables
+def _first_distinct(cols: list, n: int):
+    """Indices, ascending, of the first occurrence of each distinct row, or
+    None when all rows are distinct.
+
+    The key sum_j cols[j] * n^j wraps mod 2^64, so equal rows get equal keys
+    but distinct rows may collide.  No equal neighbours among the sorted keys
+    proves the rows distinct; otherwise the rows whose key repeats are
+    compared exactly.
+    """
+    key = np.zeros(cols[0].size, dtype=np.uint64)
+    for col in reversed(cols):
+        key *= np.uint64(n)
+        key += col.astype(np.uint64)
+    sorted_key = np.sort(key)
+    repeated = sorted_key[1:][sorted_key[1:] == sorted_key[:-1]]
+    if repeated.size == 0:
+        return None
+    tied = np.flatnonzero(np.isin(key, repeated))
+    rows = np.stack([col[tied] for col in cols], axis=1)
+    _, first = np.unique(rows, axis=0, return_index=True)
+    keep = np.ones(key.size, dtype=bool)
+    keep[tied] = False
+    keep[tied[first]] = True
+    return np.flatnonzero(keep)
 
 
-def _invert_binomial(table: np.ndarray, rem: np.ndarray, j: int, n: int) -> np.ndarray:
-    """Largest v with C(v, j) <= rem, vectorized: float guess from
-    C(v, j) ~ (v - (j-1)/2)^j / j!, then an exact +-1 walk against the table."""
-    if j == 1:
-        return rem.astype(np.int64)
-    fact = float(math.factorial(j))
-    guess = np.floor(
-        (rem.astype(np.float64) * fact) ** (1.0 / j) + 0.5 * (j - 1)
-    ).astype(np.int64)
-    np.clip(guess, 0, n - 1, out=guess)
-    while True:
-        mask = table[guess] > rem
-        if not mask.any():
-            break
-        guess[mask] -= 1
-    while True:
-        mask = (guess < n - 1) & (table[guess + 1] <= rem)
-        if not mask.any():
-            break
-        guess[mask] += 1
-    return guess
+def _order_by_largest(last: np.ndarray, n: int) -> np.ndarray:
+    """Stable argsort of `last` (ties keep their order).
 
-
-def _unrank_many(ranks: np.ndarray, r: int, n: int) -> np.ndarray:
-    """Vectorized colex unranking of a uint64 rank array into an (m, r) edge
-    array with ascending rows."""
-    tables = _binomial_table(n, r)
-    m = ranks.shape[0]
-    out = np.empty((m, r), dtype=np.int64)
-    rem = ranks.copy()
-    for j in range(r, 0, -1):
-        idx = _invert_binomial(tables[j], rem, j, n)
-        out[:, j - 1] = idx
-        rem = rem - tables[j][idx]
-    return out
+    LSD radix passes over the bits of `last`; each pass is one int64 sort of
+    (digit << position bits) | position, several times faster than a stable
+    argsort.  One pass covers the whole value whenever n * m < 2^63.
+    """
+    m = last.size
+    pos_bits = m.bit_length()
+    digit_bits = 63 - pos_bits
+    position = np.arange(m)
+    order = position
+    for shift in range(0, (n - 1).bit_length(), digit_bits):
+        digit = (last[order] >> shift) & ((1 << digit_bits) - 1)
+        packed = (digit << pos_bits) | position
+        packed.sort()
+        order = order[packed & ((1 << pos_bits) - 1)]
+    return order
 
 
 def sample_binomial_hypergraph(params: ModelParams) -> Hypergraph:
     """Draw H_r(n, c/n^(r-1)): each r-subset of [0, n) is an edge independently
-    with probability p.  Deterministic given params.seed."""
+    with probability p.  Deterministic given params.seed.
+
+    Draws m ~ Binomial(C(n, r), p), then i.i.d. uniform r-subsets in batches
+    until m distinct ones are found, and keeps the first m distinct in draw
+    order.  The set of the first m distinct values of an i.i.d. uniform
+    sequence is a uniform m-set, so the edge set has the exact law of
+    H_r(n, p).  Each batch is sized so its expected number of new subsets is
+    the shortfall, which keeps p near 1 to a few batches.  Rows are ascending
+    and edges are ordered by their largest vertex, ties in draw order; that
+    order gives the peel's gathers locality.
+    """
     r, n = params.r, params.n
     total = math.comb(n, r)
-    if total.bit_length() > RANK_CAPACITY_BITS:
-        raise CapacityError(
-            f"C({n},{r}) needs {total.bit_length()} bits, capacity is "
-            f"{RANK_CAPACITY_BITS}"
-        )
     rng = np.random.Generator(np.random.PCG64(params.seed))
-    if total < 1 << 64:
-        ranks = skip_sample(total, params.p, rng)
-        edges = _unrank_many(np.asarray(ranks, dtype=np.uint64), r, n)
-    else:
-        ranks = _skip_sample_scalar(total, params.p, rng)
-        edges = np.array(
-            [unrank_subset(rk, r, n) for rk in ranks], dtype=np.int64
-        ).reshape(len(ranks), r)
+    m = _edge_count(total, params.p, rng)
+    size = float(total)
+    cols = [np.empty(0, dtype=np.int64)] * r
+    while cols[0].size < m:
+        have = cols[0].size
+        # Draws from `size` subsets, `size - have` unseen, that yield the
+        # shortfall in expectation; capped so p = 1 stays within 3m rows.
+        d = -size * math.log1p(-(m - have) / (size - have + 1))
+        draw = min(int(d + 4 * math.sqrt(d)) + 16, 2 * m)
+        cols = [
+            np.concatenate(pair)
+            for pair in zip(cols, _random_subsets(n, r, draw, rng))
+        ]
+        first = _first_distinct(cols, n)
+        if first is not None:
+            cols = [col[first] for col in cols]
+        cols = [col[:m] for col in cols]
+    order = _order_by_largest(cols[-1], n)
+    edges = np.empty((m, r), dtype=np.int64)
+    for j, col in enumerate(cols):
+        edges[:, j] = col[order]
     return Hypergraph(r=r, n=n, edges=edges)

@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import PeelkitError
 from .hypergraph import Hypergraph
 
 
@@ -70,7 +71,7 @@ def parallel_peel(h: Hypergraph, k: int) -> PeelingTrace:
     removed edges' vertices and one compaction.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise PeelkitError(f"k must be >= 1, got {k}")
     n, m = h.n, h.m
     # int32 ids halve the memory traffic of every gather and compaction.
     idx = np.int32 if max(n, m) < np.iinfo(np.int32).max else np.int64
@@ -138,7 +139,7 @@ def sequential_kcore(h: Hypergraph, k: int):
     as an order-independence oracle against parallel_peel.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise PeelkitError(f"k must be >= 1, got {k}")
     n, m = h.n, h.m
     deg = [0] * n
     inc = [[] for _ in range(n)]
@@ -189,7 +190,7 @@ def graph_after_rounds(trace: PeelingTrace, i: int):
     """Surviving (vertex_ids, edge_ids) after min(i, s) peeling rounds;
     i = 0 returns the whole graph."""
     if i < 0:
-        raise ValueError(f"round index must be >= 0, got {i}")
+        raise PeelkitError(f"round index must be >= 0, got {i}")
     i = min(i, trace.s)
     return (
         np.flatnonzero((trace.vertex_round == 0) | (trace.vertex_round > i)),

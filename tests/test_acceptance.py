@@ -13,6 +13,8 @@ import pytest
 
 import peelkit as pk
 
+pytestmark = pytest.mark.slow
+
 R, K = 3, 2
 N_MIN, N_MAX, POINTS, TRIALS = 2**12, 2**22, 11, 20
 I_PROBE = 30

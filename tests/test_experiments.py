@@ -105,6 +105,17 @@ class TestSweep:
             SweepConfig(r=2, k=2, c=1.0, n_min=10, n_max=100, points=2,
                         trials=1, master_seed=0)
 
+    def test_degenerate_grid_rejected(self):
+        # a reversed range and a range too narrow for `points` distinct n
+        for n_min, n_max, points in ((1000, 100, 5), (10, 11, 3)):
+            with pytest.raises(PeelkitError, match="grid"):
+                SweepConfig(r=2, k=2, c=1.0, n_min=n_min, n_max=n_max,
+                            points=points, trials=1, master_seed=0)
+        # n_max == n_min stays a one-n sweep
+        one = SweepConfig(r=2, k=2, c=1.0, n_min=64, n_max=64, points=3,
+                          trials=1, master_seed=0)
+        assert one.n_grid() == [64]
+
     def test_geometric_grid(self):
         config = SweepConfig(r=2, k=3, c=1.0, n_min=2**5, n_max=2**8,
                              points=4, trials=1, master_seed=0)

@@ -1,107 +1,26 @@
-"""Tests for the binomial hypergraph sampler: skip-sampling, subset
-ranking/unranking, determinism, and distribution moments."""
+"""Tests for the binomial hypergraph sampler, which draws the edge count m
+and then m distinct uniform r-subsets: the law of the edge set at tiny n,
+edge-count moments (also where C(n, r) >= 2^64), p = 0 and p = 1, row and
+order invariants, determinism, exact duplicate detection under key
+collisions, and seed mixing."""
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from peelkit import (
-    CapacityError,
     ModelParams,
     PeelkitError,
     mix_seed,
-    rank_subset,
     sample_binomial_hypergraph,
-    skip_sample,
-    unrank_subset,
 )
-
-
-class TestSkipSample:
-    def test_p_one_takes_all(self):
-        rng = np.random.default_rng(0)
-        assert skip_sample(7, 1.0, rng).tolist() == [0, 1, 2, 3, 4, 5, 6]
-
-    def test_p_zero_takes_none(self):
-        rng = np.random.default_rng(0)
-        assert skip_sample(7, 0.0, rng).size == 0
-
-    def test_strictly_increasing(self):
-        rng = np.random.default_rng(1)
-        idx = skip_sample(10**6, 1e-3, rng)
-        assert (np.diff(idx.astype(np.int64)) > 0).all()
-        assert idx[-1] < 10**6
-
-    def test_bad_probability(self):
-        with pytest.raises(PeelkitError):
-            skip_sample(10, 1.5, np.random.default_rng(0))
-
-    def test_moments_match_binomial(self):
-        # (N=1e6, p=1e-3): mean ~ 1000, variance ~ 1000*(1-p)
-        counts = [
-            skip_sample(10**6, 1e-3, np.random.default_rng(s)).size
-            for s in range(100)
-        ]
-        mean = np.mean(counts)
-        se = math.sqrt(1000 * 0.999 / 100)
-        assert abs(mean - 1000) <= 3 * se
-        var = np.var(counts, ddof=1)
-        # chi-square bound on the sample variance of 100 binomial draws
-        assert 0.5 * 999 < var < 1.7 * 999
-
-    def test_exact_distribution_chi_square(self):
-        # N=4, p=0.3: outcome sets over 2^4 possibilities vs product measure
-        N, p, draws = 4, 0.3, 20000
-        observed = np.zeros(2**N)
-        rng = np.random.default_rng(99)
-        for _ in range(draws):
-            key = 0
-            for i in skip_sample(N, p, rng):
-                key |= 1 << int(i)
-            observed[key] += 1
-        expected = np.array(
-            [
-                draws * p ** bin(key).count("1") * (1 - p) ** (N - bin(key).count("1"))
-                for key in range(2**N)
-            ]
-        )
-        _, pval = stats.chisquare(observed, expected)
-        assert pval > 1e-4
-
-
-class TestRanking:
-    def test_first_subset(self):
-        assert unrank_subset(0, 3, 5) == (0, 1, 2)
-
-    def test_hand_computed(self):
-        assert unrank_subset(2, 2, 4) == (1, 2)
-        assert unrank_subset(3, 2, 4) == (0, 3)
-
-    def test_rank_examples(self):
-        assert rank_subset((0, 1, 2), 5) == 0
-        assert rank_subset((1, 2), 4) == 2
-
-    def test_roundtrip_exhaustive(self):
-        for rank in range(math.comb(8, 3)):
-            s = unrank_subset(rank, 3, 8)
-            assert rank_subset(s, 8) == rank
-
-    def test_colex_order_is_bijection(self):
-        seen = {unrank_subset(rk, 2, 6) for rk in range(math.comb(6, 2))}
-        assert seen == set(itertools.combinations(range(6), 2))
-
-    def test_out_of_range_rank(self):
-        with pytest.raises(PeelkitError):
-            unrank_subset(math.comb(5, 2), 2, 5)
-
-    def test_invalid_subset(self):
-        with pytest.raises(PeelkitError):
-            rank_subset((2, 1), 5)
-        with pytest.raises(PeelkitError):
-            rank_subset((1, 7), 5)
+from peelkit.models import _first_distinct, _order_by_largest
 
 
 class TestModelParams:
@@ -122,6 +41,18 @@ class TestModelParams:
             with pytest.raises(PeelkitError):
                 ModelParams(r=3, n=n, c=1.0, seed=0)
         assert ModelParams(r=3, n=3, c=1.0, seed=0).p == pytest.approx(1 / 9)
+
+    def test_c_negative_or_nan_rejected(self):
+        for c in (-1.0, float("nan")):
+            with pytest.raises(PeelkitError):
+                ModelParams(r=3, n=10, c=c, seed=0)
+
+    def test_n_beyond_int64_rejected(self):
+        with pytest.raises(PeelkitError):
+            ModelParams(r=2, n=2**66, c=1e-9, seed=0)
+        with pytest.raises(PeelkitError):
+            ModelParams(r=2, n=2**63, c=1e-9, seed=0)
+        ModelParams(r=2, n=2**63 - 1, c=1e-9, seed=0)
 
 
 class TestSampler:
@@ -159,24 +90,92 @@ class TestSampler:
             assert len(set(e)) == 3 and all(0 <= v < 200 for v in e)
             assert list(e) == sorted(e)
 
-    def test_big_rank_path_matches_fast_path_distribution(self):
-        # Force the slow exact path via a tiny monkey-free call: r=2 keeps
-        # ranks small, so instead check the scalar sampler directly.
-        from peelkit.models import _skip_sample_scalar
+    def test_p_one_all_edges_fast(self):
+        t0 = time.perf_counter()
+        h = sample_binomial_hypergraph(ModelParams(r=2, n=200, c=200.0, seed=3))
+        elapsed = time.perf_counter() - t0
+        assert h.m == 19900
+        assert set(map(tuple, h.edges.tolist())) == set(
+            itertools.combinations(range(200), 2)
+        )
+        assert elapsed < 1.0
 
-        rng = np.random.default_rng(8)
+    def test_edge_set_chi_square(self):
+        # r=2, n=4, p=0.3: the 2^6 = 64 possible edge sets against the
+        # product measure p^|E| (1-p)^(6-|E|)
+        n, p, draws = 4, 0.3, 20000
+        pairs = list(itertools.combinations(range(n), 2))
+        bit = {e: 1 << i for i, e in enumerate(pairs)}
+        observed = np.zeros(2 ** len(pairs))
+        for seed in range(draws):
+            h = sample_binomial_hypergraph(ModelParams(r=2, n=n, c=p * n, seed=seed))
+            observed[sum(bit[tuple(e)] for e in h.edges.tolist())] += 1
+        sizes = np.array([bin(key).count("1") for key in range(observed.size)])
+        expected = draws * p**sizes * (1 - p) ** (len(pairs) - sizes)
+        _, pval = stats.chisquare(observed, expected)
+        assert pval > 1e-4
+
+    def test_edge_count_moments_beyond_2_64(self):
+        # r=4, n=150000: C(n, 4) ~ 2.1e19 >= 2^64; mean m ~ 1000
+        r, n, c, seeds = 4, 150000, 0.16, 200
+        total = math.comb(n, r)
+        assert total >= 2**64
+        p = c / n ** (r - 1)
+        mean, var = total * p, total * p * (1 - p)
         counts = [
-            len(_skip_sample_scalar(2000, 0.05, np.random.default_rng(s)))
-            for s in range(100)
+            sample_binomial_hypergraph(ModelParams(r=r, n=n, c=c, seed=s)).m
+            for s in range(seeds)
         ]
-        se = math.sqrt(100 * 0.95 / 100)
-        assert abs(np.mean(counts) - 100) <= 4 * se
+        assert abs(np.mean(counts) - mean) <= 4 * math.sqrt(var / seeds)
+        # chi-square bound on the sample variance of 200 binomial draws
+        assert 0.7 * var < np.var(counts, ddof=1) < 1.4 * var
 
-    def test_capacity_error(self):
-        with pytest.raises(CapacityError):
-            sample_binomial_hypergraph(
-                ModelParams(r=2, n=2**66, c=1e-9, seed=0)
-            )
+
+@st.composite
+def model_params(draw):
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(r, 30))
+    p = draw(st.floats(0.0, 1.0))
+    # the factor keeps c / n^(r-1) <= 1 after rounding; p = 1 has its own tests
+    c = p * n ** (r - 1) * (1 - 1e-12)
+    return ModelParams(r=r, n=n, c=c, seed=draw(st.integers(0, 2**64 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(model_params())
+def test_sampled_edges_are_a_valid_ordered_edge_set(params):
+    h = sample_binomial_hypergraph(params)
+    e = h.edges
+    assert e.shape == (h.m, params.r) and e.dtype == np.int64
+    assert (np.diff(e, axis=1) > 0).all()
+    assert h.m == 0 or (e.min() >= 0 and e.max() < params.n)
+    assert len(set(map(tuple, e.tolist()))) == h.m
+    assert (np.diff(e[:, -1]) >= 0).all()  # ordered by largest vertex
+    assert sample_binomial_hypergraph(params).edges.tolist() == e.tolist()
+
+
+class TestSamplerHelpers:
+    def test_first_distinct_exact_under_key_collisions(self):
+        # n = 2^32, r = 3: the key c0 + c1*n + c2*n^2 wraps mod 2^64, so rows
+        # differing only in c2 collide
+        rows = [(0, 1, 2), (0, 1, 3), (0, 1, 2), (5, 6, 7), (0, 1, 3), (0, 1, 4)]
+        cols = [np.array(c, dtype=np.int64) for c in zip(*rows)]
+        assert _first_distinct(cols, 2**32).tolist() == [0, 1, 3, 5]
+        colliding = [c[[0, 1, 3]] for c in cols]
+        assert _first_distinct(colliding, 2**32).tolist() == [0, 1, 2]
+        assert _first_distinct([c[[0, 3]] for c in cols], 2**32) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 2**62),
+        st.lists(st.integers(0, 2**62), max_size=40),
+    )
+    def test_order_by_largest_is_a_stable_argsort(self, n, values):
+        # large n forces several radix passes
+        last = np.array([v % n for v in values], dtype=np.int64)
+        assert _order_by_largest(last, n).tolist() == np.argsort(
+            last, kind="stable"
+        ).tolist()
 
 
 class TestSeedMixing:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from peelkit import (
+    PeelkitError,
     build_hypergraph,
     graph_after_rounds,
     parallel_peel,
@@ -59,8 +60,10 @@ class TestParallelPeel:
         assert trace.rounds[0].removed_vertex_count == 4
 
     def test_k_below_one_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PeelkitError):
             parallel_peel(triangle(), 0)
+        with pytest.raises(PeelkitError):
+            sequential_kcore(triangle(), 0)
 
     def test_edge_removed_in_first_incident_round(self):
         trace = parallel_peel(path3(), 2)
@@ -174,5 +177,5 @@ class TestGraphAfterRounds:
 
     def test_negative_rejected(self):
         trace = parallel_peel(path3(), 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(PeelkitError):
             graph_after_rounds(trace, -1)
