@@ -65,7 +65,11 @@ def _cmd_verify(args) -> int:
         c = args.c
     else:
         # Infer the density constant from the realized edge count.
-        c = h.m / math.comb(h.n, h.r) * float(h.n) ** (h.r - 1) if h.n >= h.r else 0.0
+        c = (
+            h.m / math.comb(h.n, h.r) * models.density_scale(h.n, h.r)
+            if h.n >= h.r
+            else 0.0
+        )
     exact = density.count_dense_subgraphs(h, s, t, budget=args.budget)
     bound = density.expected_count_bound(h.n, s, t, c, h.r)
     max_size = min(args.max_size, h.n)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PeelkitError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _first_distinct
 
 _MASK64 = (1 << 64) - 1
 
@@ -59,7 +59,15 @@ class ModelParams:
 
     @property
     def p(self) -> float:
-        return self.c / float(self.n) ** (self.r - 1)
+        return self.c / density_scale(self.n, self.r)
+
+
+def density_scale(n: int, r: int) -> float:
+    """n^(r-1) as a float, the factor between c and p = c / n^(r-1)."""
+    try:
+        return float(n) ** (r - 1)
+    except OverflowError:
+        raise PeelkitError(f"n^(r-1) = {n}^{r - 1} is past the float range") from None
 
 
 def _edge_count(total: int, p: float, rng: np.random.Generator) -> int:
@@ -121,32 +129,6 @@ def _random_subsets(n: int, r: int, size: int, rng: np.random.Generator) -> list
             cols[a + 1] = np.maximum(cols[a], cols[a + 1])
             cols[a] = lo
     return cols
-
-
-def _first_distinct(cols: list, n: int):
-    """Indices, ascending, of the first occurrence of each distinct row, or
-    None when all rows are distinct.
-
-    The key sum_j cols[j] * n^j wraps mod 2^64, so equal rows get equal keys
-    but distinct rows may collide.  No equal neighbours among the sorted keys
-    proves the rows distinct; otherwise the rows whose key repeats are
-    compared exactly.
-    """
-    key = np.zeros(cols[0].size, dtype=np.uint64)
-    for col in reversed(cols):
-        key *= np.uint64(n)
-        key += col.astype(np.uint64)
-    sorted_key = np.sort(key)
-    repeated = sorted_key[1:][sorted_key[1:] == sorted_key[:-1]]
-    if repeated.size == 0:
-        return None
-    tied = np.flatnonzero(np.isin(key, repeated))
-    rows = np.stack([col[tied] for col in cols], axis=1)
-    _, first = np.unique(rows, axis=0, return_index=True)
-    keep = np.ones(key.size, dtype=bool)
-    keep[tied] = False
-    keep[tied[first]] = True
-    return np.flatnonzero(keep)
 
 
 def _order_by_largest(last: np.ndarray, n: int) -> np.ndarray:

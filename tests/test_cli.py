@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from peelkit import cli, read_hg
+from peelkit import PeelkitError, cli, read_hg
 
 
 def run(capsys, *argv):
@@ -72,6 +72,12 @@ class TestVerify:
         assert d["density"]["max_avg_degree"] == 2.0
         assert d["density"]["witness"] == [0, 1, 2]
         assert d["contraction"]["ok"] is True
+
+    def test_c_inference_past_float_range_rejected(self, tmp_path):
+        hg = tmp_path / "wide.hg"
+        hg.write_text("60 1000000 0\n")
+        with pytest.raises(PeelkitError, match="float range"):
+            cli.main(["verify", "--input", str(hg), "--k", "2"])
 
 
 class TestSweepFit:

@@ -39,6 +39,14 @@ class TestBuild:
         with pytest.raises(DuplicateEdgeError):
             build_hypergraph(2, 3, [(0, 1), (1, 0)])
 
+    def test_distinct_edges_with_colliding_keys_accepted(self):
+        # at n = 2^32 the duplicate check's key c0 + c1*n + c2*n^2 wraps
+        # mod 2^64 to c0 + c1*n, so these rows share a key
+        h = build_hypergraph(3, 2**32, [(0, 1, 2), (0, 1, 3)])
+        assert h.m == 2
+        with pytest.raises(DuplicateEdgeError):
+            build_hypergraph(3, 2**32, [(0, 1, 2), (0, 1, 3), (2, 1, 0)])
+
     def test_repeated_vertex_rejected(self):
         with pytest.raises(EdgeArityError):
             build_hypergraph(3, 4, [(0, 1, 1)])
@@ -52,6 +60,28 @@ class TestBuild:
     def test_wrong_arity_rejected(self):
         with pytest.raises(EdgeArityError):
             build_hypergraph(3, 5, [(0, 1)])
+
+    def test_non_integer_id_rejected(self):
+        # 1.5 must not be truncated to the edge (0, 1)
+        with pytest.raises(PeelkitError, match="integers"):
+            build_hypergraph(2, 5, [(0, 1.5)])
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(EdgeArityError):
+            build_hypergraph(3, 5, [(0, 1, 2), (0, 1)])
+
+    def test_id_beyond_int64_rejected(self):
+        for big in (2**63, 2**64):
+            with pytest.raises(VertexRangeError, match="int64"):
+                build_hypergraph(2, 5, [(0, big)])
+        with pytest.raises(VertexRangeError, match="int64"):
+            build_hypergraph(2, 5, np.array([[0, 2**63]], dtype=np.uint64))
+
+    def test_ndarray_taken_as_is(self):
+        arr = np.array([[2, 0], [1, 2]], dtype=np.int32)
+        h = build_hypergraph(2, 3, arr)
+        assert h.edges.dtype == np.int64 and h.edges.tolist() == [[0, 2], [1, 2]]
+        assert arr.tolist() == [[2, 0], [1, 2]]
 
     def test_r_below_two_rejected(self):
         with pytest.raises(PeelkitError):
@@ -193,3 +223,32 @@ class TestHgFormat:
         path.write_text("# comment\n3 4 2\n0 1 2\n0 1 x\n")
         with pytest.raises(PeelkitError, match="line 4"):
             read_hg(path)
+
+    def test_non_integer_id_names_line(self, tmp_path):
+        path = tmp_path / "bad.hg"
+        path.write_text("3 4 2\n0 1 2\n\n0 1 2.5\n")
+        with pytest.raises(PeelkitError, match="line 4"):
+            read_hg(path)
+
+    def test_short_row_names_line(self, tmp_path):
+        path = tmp_path / "bad.hg"
+        path.write_text("3 4 2\n0 1 2\n# c\n0 1\n")
+        with pytest.raises(EdgeArityError, match="line 4"):
+            read_hg(path)
+        # every row short: numpy parses a rectangle of the wrong width
+        path.write_text("3 4 2\n0 1\n0 2\n")
+        with pytest.raises(EdgeArityError, match="line 2"):
+            read_hg(path)
+
+    def test_id_beyond_int64_names_line(self, tmp_path):
+        path = tmp_path / "bad.hg"
+        path.write_text("2 3 2\n0 1\n0 9223372036854775808\n")
+        with pytest.raises(VertexRangeError, match="line 3"):
+            read_hg(path)
+
+    def test_bad_header_rejected(self, tmp_path):
+        path = tmp_path / "bad.hg"
+        for header in ("2 3\n", "1 3 0\n", "# only a comment\n"):
+            path.write_text(header)
+            with pytest.raises(PeelkitError):
+                read_hg(path)

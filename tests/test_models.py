@@ -20,7 +20,8 @@ from peelkit import (
     mix_seed,
     sample_binomial_hypergraph,
 )
-from peelkit.models import _first_distinct, _order_by_largest
+from peelkit.hypergraph import _first_distinct
+from peelkit.models import _order_by_largest
 
 
 class TestModelParams:
@@ -53,6 +54,12 @@ class TestModelParams:
         with pytest.raises(PeelkitError):
             ModelParams(r=2, n=2**63, c=1e-9, seed=0)
         ModelParams(r=2, n=2**63 - 1, c=1e-9, seed=0)
+
+    def test_n_power_past_float_range_rejected(self):
+        # 10^(6*59) overflows float64
+        with pytest.raises(PeelkitError, match="float range"):
+            ModelParams(r=60, n=10**6, c=1.0, seed=0)
+        assert ModelParams(r=50, n=10**6, c=1.0, seed=0).p == 1.0 / 1e6**49
 
 
 class TestSampler:
