@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _cc
 
 from .errors import DuplicateEdgeError, EdgeArityError, PeelkitError, VertexRangeError
@@ -62,22 +62,30 @@ def build_hypergraph(r: int, n: int, edges) -> Hypergraph:
     arr = _id_array(edges, r)
     if arr.shape[0] > 0:
         if arr.min() < 0 or arr.max() >= n:
-            bad = arr[((arr < 0) | (arr >= n)).any(axis=1)][0]
-            raise VertexRangeError(
-                f"edge {tuple(bad.tolist())} has vertex outside [0, {n})"
+            row = ((arr < 0) | (arr >= n)).any(axis=1).argmax()
+            raise _row_error(
+                VertexRangeError, arr, row, f"edge {{}} has vertex outside [0, {n})"
             )
         arr = np.sort(arr, axis=1)
         repeats = (arr[:, 1:] == arr[:, :-1]).any(axis=1)
         if repeats.any():
-            bad = arr[repeats.argmax()]
-            raise EdgeArityError(f"edge {tuple(bad.tolist())} repeats a vertex")
+            raise _row_error(
+                EdgeArityError, arr, repeats.argmax(), "edge {} repeats a vertex"
+            )
         first = _first_distinct([arr[:, j] for j in range(r)], n)
         if first is not None and first.size < arr.shape[0]:
             dup = np.ones(arr.shape[0], dtype=bool)
             dup[first] = False
-            bad = arr[dup.argmax()]
-            raise DuplicateEdgeError(f"duplicate edge {tuple(bad.tolist())}")
+            raise _row_error(DuplicateEdgeError, arr, dup.argmax(), "duplicate edge {}")
     return Hypergraph(r=r, n=n, edges=arr)
+
+
+def _row_error(cls, arr: np.ndarray, row, template: str) -> PeelkitError:
+    """`cls` error for edge row `row`, which it keeps as `err.row` so that
+    read_hg can name the file line."""
+    err = cls(template.format(tuple(arr[row].tolist())))
+    err.row = int(row)
+    return err
 
 
 def _id_array(edges, r: int) -> np.ndarray:
@@ -176,17 +184,27 @@ def connected_components(h: Hypergraph) -> list[np.ndarray]:
 
 
 def component_labels(n: int, edges: np.ndarray) -> np.ndarray:
-    """Component label per vertex for the graph linking each edge's vertices."""
+    """Component label per vertex for the graph linking each edge's vertices.
+
+    Components are numbered by their smallest vertex, in increasing order.
+    """
     if n == 0:
         return np.empty(0, dtype=np.int64)
     if edges.shape[0] == 0:
         return np.arange(n, dtype=np.int64)
-    # Path-connect the vertices of every edge; enough for connectivity.
-    rows = edges[:, :-1].ravel()
-    cols = edges[:, 1:].ravel()
-    adj = coo_matrix(
-        (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n)
-    )
+    # Link each edge's other vertices to its last vertex; enough for
+    # connectivity.  Grouping the rows by that vertex makes them CSR rows
+    # directly.  The stable sort is linear on the sampler's largest-vertex
+    # order, and any row order stays correct.
+    last = edges[:, -1]
+    order = np.argsort(last, kind="stable")
+    idx = np.int32 if n < np.iinfo(np.int32).max else np.int64
+    indices = edges[order, :-1].astype(idx).ravel()
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(last, minlength=n), out=indptr[1:])
+    indptr *= edges.shape[1] - 1
+    # float64 weights: the dtype csgraph would convert any other to
+    adj = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
     _, labels = _cc(adj, directed=False)
     return labels.astype(np.int64)
 
@@ -254,7 +272,27 @@ def read_hg(path) -> Hypergraph:
         raise PeelkitError(
             f"{path}: header declares {m} edges, file has {arr.shape[0]}"
         )
-    return build_hypergraph(r, n, arr)
+    try:
+        return build_hypergraph(r, n, arr)
+    except PeelkitError as err:
+        row = getattr(err, "row", None)
+        if row is None:
+            raise
+        where = f"{path} line {_row_line(path, lineno, row)}"
+        raise type(err)(f"{where}: {err}") from None
+
+
+def _row_line(path, header_line: int, row: int) -> int:
+    """File line of edge row `row`; comment-only and blank lines hold no
+    row.  Only the error path re-reads the file."""
+    seen = 0
+    with open(path) as f:
+        for lineno, line in enumerate(f, 1):
+            if lineno > header_line and line.split("#", 1)[0].strip():
+                if seen == row:
+                    return lineno
+                seen += 1
+    raise PeelkitError(f"{path}: no edge row {row}")
 
 
 def _line_ints(line: str, where: str) -> list[int]:

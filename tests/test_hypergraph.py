@@ -246,6 +246,24 @@ class TestHgFormat:
         with pytest.raises(VertexRangeError, match="line 3"):
             read_hg(path)
 
+    def test_out_of_range_id_names_line(self, tmp_path):
+        path = tmp_path / "bad.hg"
+        path.write_text("2 3 2\n0 1\n# c\n\n0 3\n")
+        with pytest.raises(VertexRangeError, match="line 5: edge \\(0, 3\\)"):
+            read_hg(path)
+
+    def test_repeated_vertex_names_line(self, tmp_path):
+        path = tmp_path / "bad.hg"
+        path.write_text("# c\n3 4 2\n0 1 2  # ok\n\n2 1 2\n")
+        with pytest.raises(EdgeArityError, match="line 5: edge \\(1, 2, 2\\)"):
+            read_hg(path)
+
+    def test_duplicate_edge_names_line(self, tmp_path):
+        path = tmp_path / "bad.hg"
+        path.write_text("2 4 3\n0 1\n# c\n1 2\n\n1 0\n")
+        with pytest.raises(DuplicateEdgeError, match="line 6: duplicate edge \\(0, 1\\)"):
+            read_hg(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.hg"
         for header in ("2 3\n", "1 3 0\n", "# only a comment\n"):

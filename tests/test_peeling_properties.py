@@ -1,13 +1,26 @@
 """Property tests for parallel peeling on arbitrary small hypergraphs,
-including n = 0, k = 1 and edge-less graphs."""
+including n = 0, k = 1 and edge-less graphs, and on sampled supercritical
+graphs whose late rounds scan rows of already removed edges."""
 
 import itertools
 from collections import Counter
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from peelkit import build_hypergraph, graph_after_rounds, parallel_peel, sequential_kcore
+from peelkit import (
+    Hypergraph,
+    ModelParams,
+    build_hypergraph,
+    compute_threshold_analytic,
+    graph_after_rounds,
+    parallel_peel,
+    peeling,
+    sample_binomial_hypergraph,
+    sequential_kcore,
+)
 
 
 @st.composite
@@ -82,3 +95,43 @@ def test_trace_matches_replay(h, k):
     vround = trace.vertex_round.tolist()
     for e, got in zip(h.edges.tolist(), trace.edge_round.tolist()):
         assert got == min((vround[v] for v in e if vround[v]), default=0)
+
+
+@pytest.mark.parametrize("gather_rows", [None, 999])
+@pytest.mark.parametrize("n", [2**12, 2**13, 2**14])
+@pytest.mark.parametrize("r,k", [(3, 2), (2, 3)])
+def test_supercritical_sample_matches_oracles(r, k, n, gather_rows, monkeypatch):
+    if gather_rows:  # many gather blocks, the last one partial
+        monkeypatch.setattr(peeling, "_GATHER_ROWS", gather_rows)
+    c = 1.25 * compute_threshold_analytic(r, k)[2]
+    h = sample_binomial_hypergraph(ModelParams(r=r, n=n, c=c, seed=n + r, k=k))
+    before = h.edges.tobytes()
+    trace = parallel_peel(h, k)
+    assert h.edges.tobytes() == before
+    assert trace.core_edges.size > 0
+    # The first round that removes under 1/8 of the live edges leaves their
+    # rows in place, so the round after it scans them.
+    live, small = h.m, []
+    for rec in trace.rounds:
+        small.append(0 < 8 * rec.removed_edge_count < live)
+        live = rec.surviving_edge_count
+    assert any(small[:-1])
+    core_v, core_e = sequential_kcore(h, k)
+    assert np.array_equal(trace.core_vertices, core_v)
+    assert np.array_equal(trace.core_edges, core_e)
+    states = replay(h, k)
+    assert trace.s == len(states) - 1
+    for i in range(trace.s + 2):
+        v, e = graph_after_rounds(trace, i)
+        assert (v.tolist(), e.tolist()) == states[min(i, trace.s)]
+    for rec, after in zip(trace.rounds, states[1:]):
+        assert rec.surviving_edge_count == len(after[1])
+
+
+def test_edges_left_unwritten_in_any_layout():
+    # a column of a Fortran-ordered edge array is contiguous already
+    h = build_hypergraph(3, 7, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (0, 2, 4)])
+    h = Hypergraph(r=h.r, n=h.n, edges=np.asfortranarray(h.edges))
+    before = h.edges.copy()
+    trace = parallel_peel(h, 2)
+    assert trace.s > 0 and np.array_equal(h.edges, before)
