@@ -33,10 +33,7 @@ from .experiments import (
 )
 from .hypergraph import (
     Hypergraph,
-    average_degree,
     build_hypergraph,
-    connected_components,
-    induced_subgraph,
     read_hg,
     write_hg,
 )

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
 from . import density, experiments, hypergraph, models, peeling, thresholds
+from .errors import PeelkitError
 
 
 def _cmd_gen(args) -> int:
@@ -31,9 +33,9 @@ def _cmd_peel(args) -> int:
                 "round,removed_vertices,removed_edges,surviving_vertices,"
                 "surviving_edges,deg_ge_k\n"
             )
-            for rec in trace.rounds:
+            for i, rec in enumerate(trace.rounds, 1):
                 f.write(
-                    f"{rec.index},{rec.removed_vertex_count},"
+                    f"{i},{rec.removed_vertex_count},"
                     f"{rec.removed_edge_count},{rec.surviving_vertex_count},"
                     f"{rec.surviving_edge_count},{rec.surviving_deg_ge_k_count}\n"
                 )
@@ -50,7 +52,7 @@ def _cmd_threshold(args) -> int:
         trials=args.trials,
         seed=args.seed,
     )
-    print(json.dumps(res.to_dict()))
+    print(json.dumps(dataclasses.asdict(res)))
     return 0
 
 
@@ -108,7 +110,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_fit(args) -> int:
     records = experiments.read_sweep_csv(args.infile)
     res = experiments.fit_growth(records, args.model, drop_smallest=args.drop_smallest)
-    print(json.dumps(res.to_dict()))
+    print(json.dumps(dataclasses.asdict(res)))
     return 0
 
 
@@ -173,8 +175,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one subcommand.  A `PeelkitError` (bad input, a budget overrun)
+    exits with status 2 and one argparse-style line on stderr."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except PeelkitError as err:
+        print(f"{parser.prog}: error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

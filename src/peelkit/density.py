@@ -232,7 +232,7 @@ def contraction_check(trace: PeelingTrace, r: int, k: int) -> ContractionReport:
     v_before = trace.n
     e_before = trace.m
     dgk_before = trace.initial_deg_ge_k
-    for rec in trace.rounds:
+    for i, rec in enumerate(trace.rounds, 1):
         rho = Fraction(dgk_before, v_before) if v_before else Fraction(0)
         row = ContractionRound(
             vertex_count_before=v_before,
@@ -244,12 +244,12 @@ def contraction_check(trace: PeelingTrace, r: int, k: int) -> ContractionReport:
         report.rounds.append(row)
         if k * dgk_before > r * e_before:
             report.violations.append(
-                f"round {rec.index}: k*deg_ge_k = {k * dgk_before} > "
+                f"round {i}: k*deg_ge_k = {k * dgk_before} > "
                 f"r*edges = {r * e_before}"
             )
         if rec.surviving_vertex_count > dgk_before:
             report.violations.append(
-                f"round {rec.index}: survivors {rec.surviving_vertex_count} > "
+                f"round {i}: survivors {rec.surviving_vertex_count} > "
                 f"deg_ge_k at start {dgk_before}"
             )
         v_before = rec.surviving_vertex_count

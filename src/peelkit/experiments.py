@@ -9,7 +9,7 @@ function of its config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class TrialRecord:
     core_vertices: int
     core_edges: int
     max_component_after_I: int
-    rounds_removed_counts: list = field(default_factory=list)
 
 
 @dataclass
@@ -81,15 +80,6 @@ class FitResult:
     intercept: float
     residual_rms: float
     correlation: float
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "residual_rms": self.residual_rms,
-            "correlation": self.correlation,
-        }
 
 
 def run_trial(params: ModelParams, i_probe: int = 30) -> TrialRecord:
@@ -112,7 +102,6 @@ def run_trial(params: ModelParams, i_probe: int = 30) -> TrialRecord:
         core_vertices=int(trace.core_vertices.size),
         core_edges=int(trace.core_edges.size),
         max_component_after_I=max_comp,
-        rounds_removed_counts=[r.removed_vertex_count for r in trace.rounds],
     )
 
 

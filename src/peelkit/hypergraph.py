@@ -145,44 +145,6 @@ def _first_distinct(cols: list, n: int):
     return np.flatnonzero(keep)
 
 
-def average_degree(h: Hypergraph) -> float:
-    """r * |E| / n; defined as 0 for n = 0."""
-    if h.n == 0:
-        return 0.0
-    return h.r * h.m / h.n
-
-
-def induced_subgraph(h: Hypergraph, subset) -> tuple[Hypergraph, np.ndarray]:
-    """Hypergraph induced on `subset`, with vertices relabeled to 0..|S|-1.
-
-    Returns (subgraph, relabel) where relabel[i] is the original id of the
-    subgraph's vertex i (ascending).
-    """
-    subset = np.unique(np.asarray(list(subset), dtype=np.int64))
-    if subset.size and (subset[0] < 0 or subset[-1] >= h.n):
-        raise VertexRangeError("subset contains ids outside [0, n)")
-    keep = np.zeros(h.n, dtype=bool)
-    keep[subset] = True
-    if h.m:
-        inside = keep[h.edges].all(axis=1)
-        old_to_new = np.full(h.n, -1, dtype=np.int64)
-        old_to_new[subset] = np.arange(subset.size)
-        new_edges = old_to_new[h.edges[inside]]
-    else:
-        new_edges = np.empty((0, h.r), dtype=np.int64)
-    sub = Hypergraph(r=h.r, n=int(subset.size), edges=new_edges)
-    return sub, subset
-
-
-def connected_components(h: Hypergraph) -> list[np.ndarray]:
-    """Partition of [0, n) into components; vertices are connected iff they
-    share a chain of edges.  Isolated vertices form singletons."""
-    labels = component_labels(h.n, h.edges)
-    order = np.argsort(labels, kind="stable")
-    _, starts = np.unique(labels[order], return_index=True)
-    return [np.sort(b) for b in np.split(order, starts[1:])]
-
-
 def component_labels(n: int, edges: np.ndarray) -> np.ndarray:
     """Component label per vertex for the graph linking each edge's vertices.
 
@@ -282,16 +244,20 @@ def read_hg(path) -> Hypergraph:
         raise type(err)(f"{where}: {err}") from None
 
 
-def _row_line(path, header_line: int, row: int) -> int:
-    """File line of edge row `row`; comment-only and blank lines hold no
-    row.  Only the error path re-reads the file."""
-    seen = 0
+def _edge_lines(path, header_line: int):
+    """(lineno, line) of each edge line after the header; comment-only and
+    blank lines hold no edge.  Only the error paths re-read the file."""
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             if lineno > header_line and line.split("#", 1)[0].strip():
-                if seen == row:
-                    return lineno
-                seen += 1
+                yield lineno, line
+
+
+def _row_line(path, header_line: int, row: int) -> int:
+    """File line of edge row `row`."""
+    for seen, (lineno, _) in enumerate(_edge_lines(path, header_line)):
+        if seen == row:
+            return lineno
     raise PeelkitError(f"{path}: no edge row {row}")
 
 
@@ -304,22 +270,16 @@ def _line_ints(line: str, where: str) -> list[int]:
 
 
 def _bad_edge_line(path, header_line: int, r: int) -> PeelkitError:
-    """The error for the first edge line that is not r int64 ids.  Only the
-    error path re-reads the file line by line."""
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            if lineno <= header_line:
-                continue
-            where = f"{path} line {lineno}"
-            try:
-                ids = _line_ints(line, where)
-            except PeelkitError as err:
-                return err
-            if ids and len(ids) != r:
-                return EdgeArityError(f"{where}: {len(ids)} ids, expected r = {r}")
-            bad = [v for v in ids if not -(1 << 63) <= v < 1 << 63]
-            if bad:
-                return VertexRangeError(
-                    f"{where}: vertex id {bad[0]} does not fit int64"
-                )
+    """The error for the first edge line that is not r int64 ids."""
+    for lineno, line in _edge_lines(path, header_line):
+        where = f"{path} line {lineno}"
+        try:
+            ids = _line_ints(line, where)
+        except PeelkitError as err:
+            return err
+        if len(ids) != r:
+            return EdgeArityError(f"{where}: {len(ids)} ids, expected r = {r}")
+        bad = [v for v in ids if not -(1 << 63) <= v < 1 << 63]
+        if bad:
+            return VertexRangeError(f"{where}: vertex id {bad[0]} does not fit int64")
     return PeelkitError(f"{path}: unreadable edge lines")

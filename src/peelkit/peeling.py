@@ -7,8 +7,8 @@ round start only.  The round count s counts only rounds that removed at least
 one vertex, so a graph that already is a k-core has s = 0.
 
 The trace stores, for every vertex and every edge, the round that removed it
-(0 = still there in the k-core), plus per-round counts.  The graph after any
-number of rounds is one comparison against those arrays.
+(0 = still there in the k-core); per-round counts are read from those two
+arrays.  The graph after any number of rounds is one comparison against them.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ _GATHER_ROWS = 1 << 16
 
 @dataclass
 class RoundRecord:
-    index: int  # 1-based round number
     removed_vertex_count: int
     removed_edge_count: int
     surviving_vertex_count: int
@@ -41,8 +40,6 @@ class RoundRecord:
 @dataclass
 class PeelingTrace:
     k: int
-    initial_deg_ge_k: int
-    rounds: list
     vertex_round: np.ndarray  # round that removed each vertex; 0 = in the core
     edge_round: np.ndarray  # round that removed each edge; 0 = in the core
 
@@ -54,9 +51,31 @@ class PeelingTrace:
     def m(self) -> int:
         return self.edge_round.size
 
-    @property
+    @cached_property
     def s(self) -> int:
-        return len(self.rounds)
+        # every round removes at least one vertex
+        return int(self.vertex_round.max(initial=0))
+
+    @cached_property
+    def rounds(self) -> list[RoundRecord]:
+        """Counts of rounds 1..s, in order."""
+        removed_v = np.bincount(self.vertex_round, minlength=self.s + 1)[1:]
+        removed_e = np.bincount(self.edge_round, minlength=self.s + 1)[1:]
+        alive_v = self.n - np.cumsum(removed_v)
+        alive_e = self.m - np.cumsum(removed_e)
+        # A round removes exactly the alive vertices of degree < k, so the
+        # survivors of round i with degree >= k are the survivors of round
+        # i + 1; after the last round every survivor has degree >= k.
+        deg_ge_k = np.append(alive_v[1:], alive_v[-1:])
+        return [
+            RoundRecord(*map(int, row))
+            for row in zip(removed_v, removed_e, alive_v, alive_e, deg_ge_k)
+        ]
+
+    @cached_property
+    def initial_deg_ge_k(self) -> int:
+        """Vertices of degree >= k before round 1."""
+        return self.rounds[0].surviving_vertex_count if self.s else self.n
 
     @cached_property
     def core_vertices(self) -> np.ndarray:
@@ -99,21 +118,13 @@ def parallel_peel(h: Hypergraph, k: int) -> PeelingTrace:
     # Slot n is the sentinel vertex and stays False.
     removable = np.zeros(n + 1, dtype=bool)
     np.less(deg, k_eff, out=removable[:n])
-    alive_count, edge_count = n, m
-    trace = PeelingTrace(
-        k=k,
-        initial_deg_ge_k=n - int(np.count_nonzero(removable)),
-        rounds=[],
-        vertex_round=vertex_round,
-        edge_round=edge_round,
-    )
+    i = 0
     while True:
         ids = np.flatnonzero(removable)
         if ids.size == 0:
             break
-        i = trace.s + 1
+        i += 1
         vertex_round[ids] = i
-        alive_count -= ids.size
         hit = hit_buf[: eids.size]
         for start in range(0, hit.size, _GATHER_ROWS):
             block = slice(start, start + _GATHER_ROWS)
@@ -132,7 +143,6 @@ def parallel_peel(h: Hypergraph, k: int) -> PeelingTrace:
             for col in cols:
                 col[hit_pos] = n
             dead += gone
-            edge_count -= gone
             if 8 * dead >= eids.size:
                 keep = cols[0] != n
                 cols = [col[keep] for col in cols]
@@ -142,17 +152,7 @@ def parallel_peel(h: Hypergraph, k: int) -> PeelingTrace:
         # no later decrement can make them removable again.
         deg[ids] = k_eff
         np.less(deg, k_eff, out=removable[:n])
-        trace.rounds.append(
-            RoundRecord(
-                index=i,
-                removed_vertex_count=ids.size,
-                removed_edge_count=gone,
-                surviving_vertex_count=alive_count,
-                surviving_edge_count=edge_count,
-                surviving_deg_ge_k_count=alive_count - int(np.count_nonzero(removable)),
-            )
-        )
-    return trace
+    return PeelingTrace(k=k, vertex_round=vertex_round, edge_round=edge_round)
 
 
 def sequential_kcore(h: Hypergraph, k: int):

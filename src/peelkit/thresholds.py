@@ -23,6 +23,11 @@ from .models import ModelParams, mix_seed, sample_binomial_hypergraph
 from .peeling import parallel_peel
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# An instance is supercritical when its median core holds over this share
+# of the n vertices.
+_CORE_FRAC = 0.01
+# Relative bracket width of the empirical threshold in threshold_report.
+_EMPIRICAL_TOL = 0.02
 
 
 @dataclass
@@ -37,23 +42,6 @@ class ThresholdResult:
     a: float | None = None
     a_star: float | None = None
     mapping_validated: bool | None = None
-
-    def to_dict(self) -> dict:
-        d = {
-            "r": self.r,
-            "k": self.k,
-            "x_star": self.x_star,
-            "lambda_star": self.lambda_star,
-            "c_analytic": self.c_analytic,
-            "c_empirical": self.c_empirical,
-            "c_empirical_interval": list(self.c_empirical_interval)
-            if self.c_empirical_interval
-            else None,
-            "a": self.a,
-            "a_star": self.a_star,
-            "mapping_validated": self.mapping_validated,
-        }
-        return d
 
 
 def poisson_tail(x: float, j: int) -> float:
@@ -154,17 +142,15 @@ def compute_threshold_analytic(r: int, k: int, tol: float = 1e-9):
     return x_star, lambda_star, math.factorial(r - 1) * lambda_star
 
 
-def _is_supercritical(
-    r: int, k: int, c: float, n: int, trials: int, seed: int, frac: float
-) -> bool:
-    """Median core size over `trials` sampled instances exceeds frac * n."""
+def _is_supercritical(r: int, k: int, c: float, n: int, trials: int, seed: int) -> bool:
+    """Median core size over `trials` sampled instances exceeds _CORE_FRAC * n."""
     sizes = []
     for t in range(trials):
         params = ModelParams(r=r, n=n, c=c, seed=mix_seed(seed, t), k=k)
         h = sample_binomial_hypergraph(params)
         trace = parallel_peel(h, k)
         sizes.append(trace.core_vertices.size)
-    return float(np.median(sizes)) > frac * n
+    return float(np.median(sizes)) > _CORE_FRAC * n
 
 
 def compute_threshold_empirical(
@@ -176,11 +162,10 @@ def compute_threshold_empirical(
     seed: int = 0,
     c_lo: float = 0.25,
     c_hi: float | None = None,
-    core_frac: float = 0.01,
 ):
     """Bisection estimate of the critical c: at each candidate, sample and
     peel `trials` instances and classify supercritical iff the median core
-    exceeds core_frac * n.
+    exceeds _CORE_FRAC * n.
 
     Returns (c_mid, (c_lo, c_hi)) with final bracket width <= tol * c_mid.
     Finite-size rounding stays below tol for n >= 1e5 at the (r, k) pairs
@@ -188,15 +173,15 @@ def compute_threshold_empirical(
     """
     if c_hi is None:
         c_hi = 8.0 * math.factorial(r - 1) * k
-    if _is_supercritical(r, k, c_lo, n, trials, seed, core_frac):
+    if _is_supercritical(r, k, c_lo, n, trials, seed):
         raise BracketError(f"lower bracket c={c_lo} already supercritical")
-    if not _is_supercritical(r, k, c_hi, n, trials, seed, core_frac):
+    if not _is_supercritical(r, k, c_hi, n, trials, seed):
         raise BracketError(f"upper bracket c={c_hi} still subcritical")
     step = 0
     while c_hi - c_lo > tol * 0.5 * (c_lo + c_hi):
         mid = 0.5 * (c_lo + c_hi)
         step += 1
-        if _is_supercritical(r, k, mid, n, trials, seed + step, core_frac):
+        if _is_supercritical(r, k, mid, n, trials, seed + step):
             c_hi = mid
         else:
             c_lo = mid
@@ -211,7 +196,6 @@ def threshold_report(
     n: int = 10**5,
     trials: int = 9,
     seed: int = 0,
-    empirical_tol: float = 0.02,
 ) -> ThresholdResult:
     """Bundle analytic and/or empirical thresholds plus the growth
     coefficients into one result."""
@@ -223,7 +207,7 @@ def threshold_report(
         )
     if method in ("empirical", "both"):
         res.c_empirical, res.c_empirical_interval = compute_threshold_empirical(
-            r, k, n=n, trials=trials, tol=empirical_tol, seed=seed
+            r, k, n=n, trials=trials, tol=_EMPIRICAL_TOL, seed=seed
         )
     if res.c_analytic is not None and res.c_empirical is not None:
         res.mapping_validated = (

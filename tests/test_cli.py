@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from peelkit import PeelkitError, cli, read_hg
+from peelkit import cli, read_hg
 
 
 def run(capsys, *argv):
@@ -49,6 +49,20 @@ class TestGenPeel:
         assert lines[1] == "1,2,2,1,0,0"
         assert lines[2] == "2,1,0,0,0,0"
 
+    def test_peel_trace_rounds_reach_the_core(self, tmp_path, capsys):
+        hg, trace = tmp_path / "g.hg", tmp_path / "trace.csv"
+        run(capsys, "gen", "--r", "3", "--n", "4096", "--c", "6",
+            "--seed", "1", "--out", str(hg))
+        out = run(capsys, "peel", "--input", str(hg), "--k", "2",
+                  "--trace", str(trace))
+        fields = dict(kv.split("=") for kv in out.split())
+        rows = [line.split(",") for line in trace.read_text().splitlines()[1:]]
+        s = int(fields["s"])
+        assert s > 0 and int(fields["core_vertices"]) > 0
+        assert [int(row[0]) for row in rows] == list(range(1, s + 1))
+        assert int(rows[-1][3]) == int(fields["core_vertices"])
+        assert int(rows[-1][4]) == int(fields["core_edges"])
+
 
 class TestThreshold:
     def test_analytic_json(self, capsys):
@@ -73,11 +87,36 @@ class TestVerify:
         assert d["density"]["witness"] == [0, 1, 2]
         assert d["contraction"]["ok"] is True
 
-    def test_c_inference_past_float_range_rejected(self, tmp_path):
+    def test_c_inference_past_float_range_rejected(self, tmp_path, capsys):
         hg = tmp_path / "wide.hg"
         hg.write_text("60 1000000 0\n")
-        with pytest.raises(PeelkitError, match="float range"):
-            cli.main(["verify", "--input", str(hg), "--k", "2"])
+        assert cli.main(["verify", "--input", str(hg), "--k", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("peelkit: error: ") and "float range" in err
+
+
+class TestErrors:
+    def test_budget_overrun_exits_2(self, tmp_path, capsys):
+        hg = tmp_path / "g.hg"
+        run(capsys, "gen", "--r", "3", "--n", "4096", "--c", "6",
+            "--seed", "1", "--out", str(hg))
+        assert cli.main(["verify", "--input", str(hg), "--k", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"peelkit: error: C(4096,3) = {4096 * 4095 * 4094 // 6} "
+            "exceeds budget 100000000\n"
+        )
+
+    @pytest.mark.parametrize("text,fault", [
+        ("2 3 2\n0 1\n0 x\n", "non-integer token in '0 x'"),
+        ("2 3 2\n0 1\n0 3\n", "edge (0, 3) has vertex outside [0, 3)"),
+    ], ids=["token", "id_range"])
+    def test_bad_hg_line_exits_2(self, tmp_path, capsys, text, fault):
+        hg = tmp_path / "bad.hg"
+        hg.write_text(text)
+        assert cli.main(["peel", "--input", str(hg), "--k", "2"]) == 2
+        assert capsys.readouterr().err == f"peelkit: error: {hg} line 3: {fault}\n"
 
 
 class TestSweepFit:

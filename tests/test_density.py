@@ -11,6 +11,7 @@ import pytest
 from peelkit import (
     BudgetExceededError,
     ModelParams,
+    PeelingTrace,
     build_hypergraph,
     contraction_check,
     count_dense_subgraphs,
@@ -19,6 +20,7 @@ from peelkit import (
     parallel_peel,
     sample_binomial_hypergraph,
 )
+from peelkit.hypergraph import component_labels
 
 
 def triangle():
@@ -165,6 +167,16 @@ class TestContraction:
         report = contraction_check(parallel_peel(build_hypergraph(2, 0, []), 2), 2, 2)
         assert report.ok and report.rounds == []
 
+    def test_inconsistent_trace_violates(self):
+        # vertex 0 and the single edge go in round 1, vertices 1..4 stay
+        # with no edge: 4 vertices of degree >= 2 held up by 1 edge
+        trace = PeelingTrace(
+            k=2, vertex_round=np.array([1, 0, 0, 0, 0]), edge_round=np.array([1])
+        )
+        report = contraction_check(trace, 2, 2)
+        assert report.ok is False
+        assert report.violations == ["round 1: k*deg_ge_k = 8 > r*edges = 2"]
+
     def test_never_violates_on_random(self):
         rng = np.random.default_rng(41)
         for _ in range(40):
@@ -184,16 +196,19 @@ def _has_dense_subset(h, s_max, eps):
     """Any subset of size <= s_max with average degree >= r/(r-1) + eps?
 
     A density witness stays within one connected component, so enumeration is
-    restricted to components (oversized ones are skipped; they are rare at
-    the c used and the trend assertion carries slack).
+    restricted to the subgraph each component induces (oversized ones are
+    skipped; they are rare at the c used and the trend assertion carries
+    slack).
     """
-    from peelkit import connected_components, count_dense_subgraphs, induced_subgraph
-
     target = h.r / (h.r - 1) + eps
-    for block in connected_components(h):
-        if block.size < 2:
+    labels = component_labels(h.n, h.edges)
+    edge_labels = labels[h.edges[:, 0]]
+    for label, size in enumerate(np.bincount(labels)):
+        if size < 2:
             continue
-        sub, _ = induced_subgraph(h, block)
+        relabel = np.full(h.n, -1, dtype=np.int64)
+        relabel[labels == label] = np.arange(size)
+        sub = build_hypergraph(h.r, int(size), relabel[h.edges[edge_labels == label]])
         for s in range(2, min(s_max, sub.n) + 1):
             if math.comb(sub.n, s) > 5 * 10**5:
                 continue

@@ -8,13 +8,11 @@ from peelkit import (
     EdgeArityError,
     PeelkitError,
     VertexRangeError,
-    average_degree,
     build_hypergraph,
-    connected_components,
-    induced_subgraph,
     read_hg,
     write_hg,
 )
+from peelkit.hypergraph import component_labels
 
 
 def triangle():
@@ -107,17 +105,15 @@ class TestDegrees:
         assert h.degree(3) == 0
 
     def test_average_degree_triangle(self):
-        assert average_degree(triangle()) == 2
+        assert triangle().degrees().mean() == 2
 
     def test_average_degree_single_3edge(self):
-        assert average_degree(build_hypergraph(3, 3, [(0, 1, 2)])) == 1
+        assert build_hypergraph(3, 3, [(0, 1, 2)]).degrees().mean() == 1
 
     def test_average_degree_hand_count(self):
         h = build_hypergraph(3, 5, [(0, 1, 2), (2, 3, 4)])
-        assert average_degree(h) == pytest.approx(6 / 5)
-
-    def test_average_degree_empty_graph(self):
-        assert average_degree(build_hypergraph(2, 0, [])) == 0
+        assert h.degrees().tolist() == [1, 1, 2, 1, 1]
+        assert h.degrees().mean() == pytest.approx(6 / 5)
 
     def test_handshake_random(self):
         rng = np.random.default_rng(11)
@@ -134,47 +130,17 @@ class TestDegrees:
             assert all(h.degree(v) == degs[v] for v in range(n))
 
 
-class TestInduced:
-    def test_edge_kept(self):
-        sub, relabel = induced_subgraph(triangle(), {0, 1})
-        assert sub.m == 1 and sub.n == 2
-        assert relabel.tolist() == [0, 1]
-
-    def test_single_vertex(self):
-        sub, _ = induced_subgraph(triangle(), {0})
-        assert sub.m == 0
-
-    def test_partial_edge_dropped(self):
-        h = build_hypergraph(3, 3, [(0, 1, 2)])
-        sub, _ = induced_subgraph(h, {0, 1})
-        assert sub.m == 0
-
-    def test_full_subset_identity(self):
-        h = triangle()
-        sub, relabel = induced_subgraph(h, range(3))
-        assert sub.edges.tolist() == h.edges.tolist()
-        assert relabel.tolist() == [0, 1, 2]
-
-    def test_average_degree_consistency(self):
-        # avg_degree(H[S]) * |S| = r * (edges inside S)
-        h = build_hypergraph(2, 5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        sub, _ = induced_subgraph(h, {0, 1, 2})
-        assert average_degree(sub) * sub.n == 2 * sub.m
-
-
 class TestComponents:
     def test_triangle_one_block(self):
-        blocks = connected_components(triangle())
-        assert len(blocks) == 1 and blocks[0].tolist() == [0, 1, 2]
+        assert component_labels(3, triangle().edges).tolist() == [0, 0, 0]
 
     def test_two_blocks(self):
         h = build_hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)])
-        blocks = connected_components(h)
-        assert sorted(b.tolist() for b in blocks) == [[0, 1, 2], [3, 4, 5]]
+        assert component_labels(h.n, h.edges).tolist() == [0, 0, 0, 1, 1, 1]
 
     def test_no_edges_singletons(self):
-        blocks = connected_components(build_hypergraph(2, 3, []))
-        assert sorted(b.tolist() for b in blocks) == [[0], [1], [2]]
+        h = build_hypergraph(2, 3, [])
+        assert component_labels(h.n, h.edges).tolist() == [0, 1, 2]
 
     def test_blocks_partition(self):
         rng = np.random.default_rng(5)
@@ -185,9 +151,13 @@ class TestComponents:
             pool = list(itertools.combinations(range(n), 2))
             take = rng.random(len(pool)) < 0.08
             h = build_hypergraph(2, n, [e for e, t in zip(pool, take) if t])
-            blocks = connected_components(h)
-            seen = np.concatenate(blocks)
-            assert sorted(seen.tolist()) == list(range(n))
+            labels = component_labels(n, h.edges)
+            # each edge inside one block; blocks numbered 0, 1, ... in the
+            # order of their smallest vertex
+            assert (labels[h.edges] == labels[h.edges[:, :1]]).all()
+            _, first = np.unique(labels, return_index=True)
+            assert labels[first].tolist() == list(range(first.size))
+            assert (np.diff(first) > 0).all()
 
 
 class TestHgFormat:

@@ -1,6 +1,7 @@
 """Tests for Poisson tails, the threshold objective, and the growth
 coefficients."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -156,7 +157,7 @@ class TestEmpirical:
 
     def test_report_bundle(self):
         res = threshold_report(3, 2, method="analytic")
-        d = res.to_dict()
+        d = dataclasses.asdict(res)
         assert d["c_analytic"] == pytest.approx(4.9108, abs=1e-3)
         assert d["a_star"] == pytest.approx(3.4761, abs=1e-3)
         assert d["c_empirical"] is None
