@@ -176,12 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand.  A `PeelkitError` (bad input, a budget overrun)
-    exits with status 2 and one argparse-style line on stderr."""
+    or an `OSError` (a missing file or directory) exits with status 2 and
+    one argparse-style line on stderr."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PeelkitError as err:
+    except (PeelkitError, OSError) as err:
         print(f"{parser.prog}: error: {err}", file=sys.stderr)
         return 2
 

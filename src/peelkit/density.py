@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .errors import BudgetExceededError, PeelkitError
 from .hypergraph import Hypergraph
+from .models import density_scale
 from .peeling import PeelingTrace
 
 DEFAULT_BUDGET = 10**8
@@ -91,7 +92,7 @@ def expected_count_bound(
         raise PeelkitError(f"need 1 <= s <= n, got s={s}, n={n}")
     if t < 0:
         raise PeelkitError(f"need t >= 0, got {t}")
-    p = c / float(n) ** (r - 1)
+    p = c / density_scale(n, r)
     if p > 1.0:
         raise PeelkitError(f"p = {p} exceeds 1")
     pool = math.comb(s, r) if tight_edge_pool else s**r

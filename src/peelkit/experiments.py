@@ -154,18 +154,8 @@ def read_sweep_csv(path) -> list[TrialRecord]:
             if line == CSV_FOOTER:
                 done = True
                 break
-            parts = line.split(",")
-            records.append(
-                TrialRecord(
-                    n=int(parts[3]),
-                    trial_index=int(parts[4]),
-                    seed=int(parts[5]),
-                    s=int(parts[6]),
-                    core_vertices=int(parts[7]),
-                    core_edges=int(parts[8]),
-                    max_component_after_I=int(parts[9]),
-                )
-            )
+            # columns n..max_component_after_I, in TrialRecord's field order
+            records.append(TrialRecord(*map(int, line.split(",")[3:10])))
     if not done:
         raise PeelkitError(f"{path}: missing '#done' footer (truncated sweep?)")
     return records

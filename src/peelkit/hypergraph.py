@@ -12,8 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components as _cc
 
 from .errors import DuplicateEdgeError, EdgeArityError, PeelkitError, VertexRangeError
 
@@ -149,26 +147,25 @@ def component_labels(n: int, edges: np.ndarray) -> np.ndarray:
     """Component label per vertex for the graph linking each edge's vertices.
 
     Components are numbered by their smallest vertex, in increasing order.
+    Each pass hooks every root to the smallest root it links to, shortcuts to
+    roots and drops the links inside one root (Liu and Tarjan, SOSA 2019).
+    Pointers only go down, so a component's smallest vertex is its root.
     """
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    if edges.shape[0] == 0:
-        return np.arange(n, dtype=np.int64)
-    # Link each edge's other vertices to its last vertex; enough for
-    # connectivity.  Grouping the rows by that vertex makes them CSR rows
-    # directly.  The stable sort is linear on the sampler's largest-vertex
-    # order, and any row order stays correct.
-    last = edges[:, -1]
-    order = np.argsort(last, kind="stable")
     idx = np.int32 if n < np.iinfo(np.int32).max else np.int64
-    indices = edges[order, :-1].astype(idx).ravel()
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(last, minlength=n), out=indptr[1:])
-    indptr *= edges.shape[1] - 1
-    # float64 weights: the dtype csgraph would convert any other to
-    adj = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
-    _, labels = _cc(adj, directed=False)
-    return labels.astype(np.int64)
+    parent = np.arange(n, dtype=idx)
+    # each edge's other vertices linked to its last vertex: enough to connect it
+    u = edges[:, :-1].astype(idx).ravel()
+    v = np.repeat(edges[:, -1].astype(idx), edges.shape[1] - 1)
+    while u.size:
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        np.minimum.at(parent, hi, lo)
+        while not np.array_equal(grand := parent[parent], parent):
+            parent = grand
+        u, v = parent[lo], parent[hi]
+        keep = u != v
+        u, v = u[keep], v[keep]
+    roots = parent == np.arange(n, dtype=idx)
+    return (np.cumsum(roots, dtype=np.int64) - 1)[parent]
 
 
 def write_hg(h: Hypergraph, path) -> None:
@@ -205,13 +202,19 @@ def read_hg(path) -> Hypergraph:
     """Read the text .hg format: an 'r n m' header, then one edge of r
     decimal ids per line.  '#' starts a comment that runs to the end of the
     line; blank lines are skipped.  Errors name the file line at fault."""
-    with open(path) as f:
-        for lineno, line in enumerate(iter(f.readline, ""), 1):
-            header = _line_ints(line, f"{path} line {lineno}")
-            if header:
-                break
-        else:
-            raise PeelkitError(f"{path}: empty .hg file")
+    with open(path, encoding="utf-8") as f:
+        try:
+            for lineno, line in enumerate(iter(f.readline, ""), 1):
+                header = _line_ints(line, f"{path} line {lineno}")
+                if header:
+                    break
+            else:
+                raise PeelkitError(f"{path}: empty .hg file")
+        except UnicodeDecodeError:
+            # decoded in chunks: the re-read names the line that is not UTF-8
+            for _ in _edge_lines(path, 0):
+                pass
+            raise
         if len(header) != 3 or header[0] < 2:
             raise PeelkitError(
                 f"{path} line {lineno}: bad .hg header {line.strip()!r}, "
@@ -246,9 +249,14 @@ def read_hg(path) -> Hypergraph:
 
 def _edge_lines(path, header_line: int):
     """(lineno, line) of each edge line after the header; comment-only and
-    blank lines hold no edge.  Only the error paths re-read the file."""
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
+    blank lines hold no edge.  Lines are decoded one by one, so a line that is
+    not UTF-8 raises a PeelkitError naming it.  Only error paths re-read."""
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, 1):
+            try:
+                line = raw.decode()
+            except UnicodeDecodeError:
+                raise PeelkitError(f"{path} line {lineno}: not UTF-8") from None
             if lineno > header_line and line.split("#", 1)[0].strip():
                 yield lineno, line
 

@@ -118,6 +118,36 @@ class TestErrors:
         assert cli.main(["peel", "--input", str(hg), "--k", "2"]) == 2
         assert capsys.readouterr().err == f"peelkit: error: {hg} line 3: {fault}\n"
 
+    def test_missing_input_exits_2(self, tmp_path, capsys):
+        hg = tmp_path / "missing.hg"
+        assert cli.main(["peel", "--input", str(hg), "--k", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"peelkit: error: [Errno 2] No such file or directory: '{hg}'\n"
+
+    def test_trace_into_missing_directory_exits_2(self, tmp_path, capsys):
+        hg = tmp_path / "path.hg"
+        hg.write_text("2 3 2\n0 1\n1 2\n")
+        trace = tmp_path / "nodir" / "trace.csv"
+        argv = ["peel", "--input", str(hg), "--k", "2", "--trace", str(trace)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "s=2 core_vertices=0 core_edges=0\n"
+        assert captured.err == (
+            f"peelkit: error: [Errno 2] No such file or directory: '{trace}'\n"
+        )
+
+    def test_bound_past_float_range_exits_2(self, tmp_path, capsys):
+        # n^(r-1) = 200000^59 overflows a float with or without --c
+        hg = tmp_path / "big.hg"
+        hg.write_text("60 200000 0\n")
+        argv = ["verify", "--input", str(hg), "--k", "2", "--s", "1", "--t", "2",
+                "--max-size", "1"]
+        for extra in ([], ["--c", "1"]):
+            assert cli.main(argv + extra) == 2
+            assert capsys.readouterr().err == (
+                "peelkit: error: n^(r-1) = 200000^59 is past the float range\n"
+            )
+
 
 class TestSweepFit:
     def test_pipeline(self, tmp_path, capsys):

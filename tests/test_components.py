@@ -1,10 +1,18 @@
-"""Component labelling against a union-find oracle, on arbitrary edge lists
-and on the post-peel probe of a sampled supercritical trial."""
+"""Component labelling against a union-find oracle, on arbitrary edge lists,
+on deep trees and stars at n = 2^16, and on the post-peel probe of a sampled
+supercritical trial."""
+
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import peelkit
 from peelkit import (
     ModelParams,
     compute_threshold_analytic,
@@ -72,3 +80,68 @@ def test_trial_probe_matches_union_find():
     sizes = np.bincount(np.asarray(roots)[surv_v])
     assert surv_e.size > n // 2  # a giant survivor component exists
     assert rec.max_component_after_I == sizes.max()
+
+
+BIG = 2**16
+
+
+def assert_matches_union_find(n, edges):
+    labels = component_labels(n, edges)
+    roots = union_find_roots(n, edges.tolist())
+    assert labels.tolist() == np.unique(roots, return_inverse=True)[1].tolist()
+
+
+def test_shuffled_path():
+    rng = np.random.default_rng(5)
+    order = rng.permutation(BIG)
+    assert_matches_union_find(BIG, np.stack([order[:-1], order[1:]], axis=1))
+
+
+def test_ascending_path():
+    ids = np.arange(BIG)
+    assert_matches_union_find(BIG, np.stack([ids[:-1], ids[1:]], axis=1))
+
+
+def test_shuffled_random_tree():
+    # vertex v > 0 hangs off a uniform earlier vertex, then labels are shuffled
+    rng = np.random.default_rng(6)
+    child = np.arange(1, BIG)
+    parent = (rng.random(BIG - 1) * child).astype(np.int64)
+    relabel = rng.permutation(BIG)
+    edges = np.stack([relabel[parent], relabel[child]], axis=1)
+    assert_matches_union_find(BIG, edges[rng.permutation(BIG - 1)])
+
+
+def test_star_on_largest_vertex_fast():
+    # Hooking each root to any smaller root would take n - 1 passes here;
+    # hooking it to its smallest linked root takes two.
+    leaves = np.arange(BIG - 1)
+    edges = np.stack([leaves, np.full(BIG - 1, BIG - 1)], axis=1)
+    t0 = time.perf_counter()
+    labels = component_labels(BIG, edges)
+    assert time.perf_counter() - t0 < 1.0
+    assert not labels.any()
+    assert_matches_union_find(BIG, edges)
+
+
+def test_sweep_probe_runs_without_scipy(tmp_path):
+    """The sweep labels its supercritical probe with scipy unimportable."""
+    out = tmp_path / "sweep.csv"
+    c = 1.25 * compute_threshold_analytic(3, 2)[2]
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from peelkit import cli\n"
+        f"sys.exit(cli.main(['sweep', '--r', '3', '--k', '2', '--c', '{c!r}',"
+        " '--n-min', '256', '--n-max', '1024', '--points', '3', '--trials', '2',"
+        f" '--seed', '5', '--out', {str(out)!r}]))\n"
+    )
+    src = str(Path(peelkit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    rows = out.read_text().splitlines()[1:-1]
+    # every trial has a core, which the probe labels
+    assert len(rows) == 6
+    assert all(int(row.split(",")[-1]) > 0 for row in rows)

@@ -240,3 +240,17 @@ class TestHgFormat:
             path.write_text(header)
             with pytest.raises(PeelkitError):
                 read_hg(path)
+
+    @pytest.mark.parametrize("data,line", [
+        (b"2 3 \xff1\n0 1\n", 1),
+        (b"# c\n2 3 2\n0 1\n0 \xff\n", 4),
+        (b"2 3 1\n0 1  # \xe9t\xe9\n", 2),
+        # past the first chunk that text mode decodes
+        (b"2 5000 4999\n" + b"".join(b"0 %d\n" % v for v in range(1, 5000))
+         + b"# \xff\n", 5001),
+    ], ids=["header", "edge", "comment", "late"])
+    def test_non_utf8_names_line(self, tmp_path, data, line):
+        path = tmp_path / "bad.hg"
+        path.write_bytes(data)
+        with pytest.raises(PeelkitError, match=f"line {line}: not UTF-8$"):
+            read_hg(path)
