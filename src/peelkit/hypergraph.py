@@ -1,8 +1,9 @@
 """Static r-uniform hypergraphs with array-backed degree queries.
 
-Vertices are dense integer ids 0..n-1.  Edges are stored as an (m, r) int64
-array with each row sorted ascending; the row order of the input is preserved,
-so reading a file and writing it back is byte-stable.
+Vertices are dense integer ids 0..n-1.  Edges are stored as an (m, r) array
+at the narrowest id width, `id_dtype(n)`: int32 when n < 2^31 - 1, else
+int64.  Each row is sorted ascending; the row order of the input is
+preserved, so reading a file and writing it back is byte-stable.
 """
 
 from __future__ import annotations
@@ -21,13 +22,25 @@ _WRITE_BLOCK_ROWS = 1 << 14
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
+def id_dtype(n: int) -> type:
+    """The id width for vertices 0..n-1: int32 when n < 2^31 - 1, else int64.
+
+    The bound keeps n itself representable, so the peel can use n as a
+    sentinel vertex.  The same rule with max(n, m) sizes the peel's edge ids.
+    """
+    return np.int32 if n < np.iinfo(np.int32).max else np.int64
+
+
 @dataclass(eq=False)
 class Hypergraph:
-    """Simple r-uniform hypergraph (no multi-edges, no repeated vertices in an edge)."""
+    """Simple r-uniform hypergraph (no multi-edges, no repeated vertices in an edge).
+
+    `edges` has shape (m, r) and dtype `id_dtype(n)`, each row ascending.
+    """
 
     r: int
     n: int
-    edges: np.ndarray  # shape (m, r), rows sorted ascending
+    edges: np.ndarray  # shape (m, r), dtype id_dtype(n), rows sorted ascending
 
     @property
     def m(self) -> int:
@@ -58,13 +71,15 @@ def build_hypergraph(r: int, n: int, edges) -> Hypergraph:
     if not 0 <= n < 1 << 63:
         raise PeelkitError(f"vertex count n must be in [0, 2^63), got {n}")
     arr = _id_array(edges, r)
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        row = ((arr < 0) | (arr >= n)).any(axis=1).argmax()
+        raise _row_error(
+            VertexRangeError, arr, row, f"edge {{}} has vertex outside [0, {n})"
+        )
+    # ids are in [0, n) now, so narrowing cannot wrap; the copy is private
+    arr = arr.astype(id_dtype(n))
+    arr.sort(axis=1)
     if arr.shape[0] > 0:
-        if arr.min() < 0 or arr.max() >= n:
-            row = ((arr < 0) | (arr >= n)).any(axis=1).argmax()
-            raise _row_error(
-                VertexRangeError, arr, row, f"edge {{}} has vertex outside [0, {n})"
-            )
-        arr = np.sort(arr, axis=1)
         repeats = (arr[:, 1:] == arr[:, :-1]).any(axis=1)
         if repeats.any():
             raise _row_error(
@@ -87,8 +102,9 @@ def _row_error(cls, arr: np.ndarray, row, template: str) -> PeelkitError:
 
 
 def _id_array(edges, r: int) -> np.ndarray:
-    """`edges` as an (m, r) int64 array, rejecting ragged or short rows and
-    ids that are not integers or do not fit int64."""
+    """`edges` as an (m, r) integer array, not copied if it already is one,
+    rejecting ragged or short rows and ids that are not integers or do not
+    fit int64."""
     if isinstance(edges, np.ndarray):
         arr = edges
     else:
@@ -114,7 +130,7 @@ def _id_array(edges, r: int) -> np.ndarray:
             raise VertexRangeError(f"vertex id {bad[0]} does not fit int64")
     if arr.dtype.kind not in "iu":
         raise PeelkitError(f"vertex ids must be integers, got {arr.dtype} values")
-    return arr.astype(np.int64, copy=False)
+    return arr
 
 
 def _first_distinct(cols: list, n: int):
@@ -151,21 +167,27 @@ def component_labels(n: int, edges: np.ndarray) -> np.ndarray:
     roots and drops the links inside one root (Liu and Tarjan, SOSA 2019).
     Pointers only go down, so a component's smallest vertex is its root.
     """
-    idx = np.int32 if n < np.iinfo(np.int32).max else np.int64
+    idx = id_dtype(n)
     parent = np.arange(n, dtype=idx)
     # each edge's other vertices linked to its last vertex: enough to connect it
-    u = edges[:, :-1].astype(idx).ravel()
-    v = np.repeat(edges[:, -1].astype(idx), edges.shape[1] - 1)
-    while u.size:
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
+    lo = edges[:, :-1].astype(idx).ravel()
+    hi = np.repeat(edges[:, -1].astype(idx, copy=False), edges.shape[1] - 1)
+    # Each step replaces one link array at a time, so at most three are alive.
+    while lo.size:
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi, out=hi)
         np.minimum.at(parent, hi, lo)
         while not np.array_equal(grand := parent[parent], parent):
             parent = grand
-        u, v = parent[lo], parent[hi]
-        keep = u != v
-        u, v = u[keep], v[keep]
-    roots = parent == np.arange(n, dtype=idx)
-    return (np.cumsum(roots, dtype=np.int64) - 1)[parent]
+        del grand
+        lo = parent[lo]
+        hi = parent[hi]
+        keep = lo != hi
+        lo = lo[keep]
+        hi = hi[keep]
+        del keep
+    label = np.cumsum(parent == np.arange(n, dtype=idx), dtype=np.int64)
+    label -= 1
+    return label[parent]
 
 
 def write_hg(h: Hypergraph, path) -> None:

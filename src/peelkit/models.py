@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PeelkitError
-from .hypergraph import Hypergraph, _first_distinct
+from .hypergraph import Hypergraph, _first_distinct, id_dtype
 
 _MASK64 = (1 << 64) - 1
 
@@ -126,7 +126,7 @@ def _random_subsets(n: int, r: int, size: int, rng: np.random.Generator) -> list
     for start in range(r):
         for a in range(start % 2, r - 1, 2):
             lo = np.minimum(cols[a], cols[a + 1])
-            cols[a + 1] = np.maximum(cols[a], cols[a + 1])
+            np.maximum(cols[a], cols[a + 1], out=cols[a + 1])
             cols[a] = lo
     return cols
 
@@ -144,10 +144,14 @@ def _order_by_largest(last: np.ndarray, n: int) -> np.ndarray:
     position = np.arange(m)
     order = position
     for shift in range(0, (n - 1).bit_length(), digit_bits):
-        digit = (last[order] >> shift) & ((1 << digit_bits) - 1)
-        packed = (digit << pos_bits) | position
+        packed = last[order].astype(np.int64, copy=False)
+        packed >>= shift
+        packed &= (1 << digit_bits) - 1
+        packed <<= pos_bits
+        packed |= position
         packed.sort()
-        order = order[packed & ((1 << pos_bits) - 1)]
+        packed &= (1 << pos_bits) - 1
+        order = order[packed]
     return order
 
 
@@ -176,16 +180,18 @@ def sample_binomial_hypergraph(params: ModelParams) -> Hypergraph:
         # shortfall in expectation; capped so p = 1 stays within 3m rows.
         d = -size * math.log1p(-(m - have) / (size - have + 1))
         draw = min(int(d + 4 * math.sqrt(d)) + 16, 2 * m)
-        cols = [
-            np.concatenate(pair)
-            for pair in zip(cols, _random_subsets(n, r, draw, rng))
-        ]
+        batch = _random_subsets(n, r, draw, rng)
+        cols = [np.concatenate(pair) for pair in zip(cols, batch)] if have else batch
+        del batch  # else it keeps the full int64 draws alive to the end
         first = _first_distinct(cols, n)
         if first is not None:
             cols = [col[first] for col in cols]
         cols = [col[:m] for col in cols]
+    # ids are in [0, n), so narrowing to id width cannot wrap
+    for j in range(r):
+        cols[j] = cols[j].astype(id_dtype(n))
     order = _order_by_largest(cols[-1], n)
-    edges = np.empty((m, r), dtype=np.int64)
+    edges = np.empty((m, r), dtype=id_dtype(n))
     for j, col in enumerate(cols):
         edges[:, j] = col[order]
     return Hypergraph(r=r, n=n, edges=edges)

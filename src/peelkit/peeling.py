@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PeelkitError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, id_dtype
 
 
 # Rows per gather block.  numpy copies an int32 index to intp before it
@@ -92,22 +92,28 @@ def parallel_peel(h: Hypergraph, k: int) -> PeelingTrace:
 
     Vertices of degree 0 (including initially isolated ones) are removed like
     any other vertex of degree < k.  The live edges are kept as r contiguous
-    index columns, so a round is one blocked gather per column and one
-    bincount of the removed edges' vertices.  A removed edge's entries are
-    overwritten with the sentinel vertex n, which is never removable, so the
-    columns are compacted only once such dead rows make up 1/8 of them.
+    index columns, so a round is one blocked gather per column to find the
+    edges it removes.  Its bookkeeping costs O(edges removed): degrees are
+    decremented at the removed edges' vertices only, and the next round's
+    vertices are the ones among those that fell below k.  A removed edge's
+    entries are overwritten with the sentinel vertex n, which is never
+    removable, so the columns are compacted only once such dead rows make up
+    1/8 of them.
     """
     if k < 1:
         raise PeelkitError(f"k must be >= 1, got {k}")
     n, m = h.n, h.m
     # int32 ids halve the memory traffic of every gather and compaction.
-    idx = np.int32 if max(n, m) < np.iinfo(np.int32).max else np.int64
+    idx = id_dtype(max(n, m))
+    one = idx(1)  # a typed scalar keeps ufunc.at on its fast path
     # No degree exceeds m, so deg < k is the test deg < min(k, m + 1).  The
     # clamped value fits idx and marks removed vertices as never removable.
     k_eff = min(k, m + 1)
-    deg = h.degrees().astype(idx)
     # Private copies: the sentinel writes must not reach h.edges.
     cols = [np.array(h.edges[:, j], dtype=idx) for j in range(h.r)]
+    deg = np.zeros(n, dtype=idx)
+    for col in cols:
+        np.add.at(deg, col, one)
     eids = np.arange(m, dtype=idx)
     hit_buf = np.empty(m, dtype=bool)
     tmp = np.empty(_GATHER_ROWS, dtype=bool)
@@ -117,14 +123,12 @@ def parallel_peel(h: Hypergraph, k: int) -> PeelingTrace:
 
     # Slot n is the sentinel vertex and stays False.
     removable = np.zeros(n + 1, dtype=bool)
-    np.less(deg, k_eff, out=removable[:n])
+    ids = np.flatnonzero(deg < k_eff)  # may repeat a vertex after round 1
     i = 0
-    while True:
-        ids = np.flatnonzero(removable)
-        if ids.size == 0:
-            break
+    while ids.size:
         i += 1
         vertex_round[ids] = i
+        removable[ids] = True
         hit = hit_buf[: eids.size]
         for start in range(0, hit.size, _GATHER_ROWS):
             block = slice(start, start + _GATHER_ROWS)
@@ -133,25 +137,28 @@ def parallel_peel(h: Hypergraph, k: int) -> PeelingTrace:
             for col in cols[1:]:
                 np.take(removable, col[block], out=tmp[: out.size])
                 out |= tmp[: out.size]
+        removable[ids] = False
         hit_pos = np.flatnonzero(hit)
         gone = hit_pos.size
+        touched = np.concatenate([col[hit_pos] for col in cols])
         if gone:
             edge_round[eids[hit_pos]] = i
-            deg -= np.bincount(
-                np.concatenate([col[hit_pos] for col in cols]), minlength=n
-            )
+            np.subtract.at(deg, touched, one)
             for col in cols:
                 col[hit_pos] = n
             dead += gone
             if 8 * dead >= eids.size:
                 keep = cols[0] != n
-                cols = [col[keep] for col in cols]
+                for j, col in enumerate(cols):
+                    cols[j] = col[keep]
+                del col  # frees the last old column now, not next round
                 eids = eids[keep]
                 dead = 0
         # Park removed vertices at k_eff: all their edges went this round, so
         # no later decrement can make them removable again.
         deg[ids] = k_eff
-        np.less(deg, k_eff, out=removable[:n])
+        # Only a vertex whose degree just fell can have become removable.
+        ids = touched[deg[touched] < k_eff]
     return PeelingTrace(k=k, vertex_round=vertex_round, edge_round=edge_round)
 
 

@@ -1,6 +1,7 @@
 """Tests for trials, sweeps, CSV output, and growth-law fitting."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -10,9 +11,11 @@ from peelkit import (
     SweepConfig,
     TrialRecord,
     component_growth_check,
+    compute_threshold_analytic,
     fit_growth,
     read_sweep_csv,
     run_trial,
+    sample_binomial_hypergraph,
     sweep,
 )
 
@@ -41,6 +44,21 @@ class TestRunTrial:
         # probe at round 0 sees the whole graph's largest component
         rec = run_trial(ModelParams(r=2, n=5, c=5.0, seed=1, k=2), i_probe=0)
         assert rec.max_component_after_I == 5
+
+    def test_supercritical_memory_budget(self):
+        # Peak numpy allocation of one trial, per sampled edge.  Vertex ids at
+        # int64 and whole-array copies in the trial took about 110 B/edge with
+        # numpy 2.4; int32 ids and at most three live link arrays take about 65.
+        c = 1.25 * compute_threshold_analytic(3, 2)[2]
+        params = ModelParams(r=3, n=2**18, c=c, seed=17, k=2)
+        m = sample_binomial_hypergraph(params).m
+        tracemalloc.start()
+        try:
+            run_trial(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / m < 80, f"{peak / m:.1f} B per sampled edge"
 
 
 class TestSweep:

@@ -78,7 +78,7 @@ class TestBuild:
     def test_ndarray_taken_as_is(self):
         arr = np.array([[2, 0], [1, 2]], dtype=np.int32)
         h = build_hypergraph(2, 3, arr)
-        assert h.edges.dtype == np.int64 and h.edges.tolist() == [[0, 2], [1, 2]]
+        assert h.edges.dtype == np.int32 and h.edges.tolist() == [[0, 2], [1, 2]]
         assert arr.tolist() == [[2, 0], [1, 2]]
 
     def test_r_below_two_rejected(self):
@@ -93,6 +93,28 @@ class TestBuild:
         h = build_hypergraph(2, 4, [])
         assert h.m == 0
         assert [h.degree(v) for v in range(4)] == [0] * 4
+
+
+class TestIdWidth:
+    """Edges are stored at int32 below n = 2^31 - 1 and at int64 from there,
+    whatever the input's width; n itself must fit, as the peel's sentinel."""
+
+    @pytest.mark.parametrize(
+        "n, width", [(2**31 - 2, np.int32), (2**31 - 1, np.int64), (2**40, np.int64)]
+    )
+    def test_build_and_read(self, tmp_path, n, width):
+        rows = [(n - 1, 0, n - 2), (1, 2, 3)]
+        for edges in (rows, np.array(rows, dtype=np.uint64)):
+            h = build_hypergraph(3, n, edges)
+            assert h.edges.dtype == width
+            assert h.edges.tolist() == [[0, n - 2, n - 1], [1, 2, 3]]
+        write_hg(h, tmp_path / "g.hg")
+        back = read_hg(tmp_path / "g.hg")
+        assert back.edges.dtype == width and back.edges.tolist() == h.edges.tolist()
+
+    def test_narrow_input_widened(self):
+        h = build_hypergraph(2, 2**31, np.array([[1, 0]], dtype=np.int8))
+        assert h.edges.dtype == np.int64 and h.edges.tolist() == [[0, 1]]
 
 
 class TestDegrees:

@@ -153,12 +153,21 @@ def model_params(draw):
 def test_sampled_edges_are_a_valid_ordered_edge_set(params):
     h = sample_binomial_hypergraph(params)
     e = h.edges
-    assert e.shape == (h.m, params.r) and e.dtype == np.int64
+    assert e.shape == (h.m, params.r) and e.dtype == np.int32
     assert (np.diff(e, axis=1) > 0).all()
     assert h.m == 0 or (e.min() >= 0 and e.max() < params.n)
     assert len(set(map(tuple, e.tolist()))) == h.m
     assert (np.diff(e[:, -1]) >= 0).all()  # ordered by largest vertex
     assert sample_binomial_hypergraph(params).edges.tolist() == e.tolist()
+
+
+@pytest.mark.parametrize("n, width", [(2**31 - 2, np.int32), (2**31 - 1, np.int64)])
+def test_sampled_edges_at_id_width(n, width):
+    # about 16 edges among ids near 2^31
+    h = sample_binomial_hypergraph(ModelParams(r=2, n=n, c=2.0**-26, seed=3))
+    assert h.edges.dtype == width and h.m > 0
+    assert h.edges.min() >= 0 and h.edges.max() < n
+    assert h.edges.max() >= 2**30
 
 
 class TestSamplerHelpers:

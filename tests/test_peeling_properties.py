@@ -16,6 +16,7 @@ from peelkit import (
     build_hypergraph,
     compute_threshold_analytic,
     graph_after_rounds,
+    hypergraph,
     parallel_peel,
     peeling,
     sample_binomial_hypergraph,
@@ -95,6 +96,24 @@ def test_trace_matches_replay(h, k):
     vround = trace.vertex_round.tolist()
     for e, got in zip(h.edges.tolist(), trace.edge_round.tolist()):
         assert got == min((vround[v] for v in e if vround[v]), default=0)
+
+
+@settings_
+@given(hypergraphs(), k_values)
+def test_int64_ids_give_the_same_results(h, k):
+    """The int64 path, which only n >= 2^31 - 1 would take, run on small
+    graphs: it must agree with the int32 one."""
+    narrow = parallel_peel(h, k)
+    labels = hypergraph.component_labels(h.n, h.edges)
+    wide = Hypergraph(r=h.r, n=h.n, edges=h.edges.astype(np.int64))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hypergraph, "id_dtype", lambda n: np.int64)
+        mp.setattr(peeling, "id_dtype", lambda n: np.int64)
+        trace = parallel_peel(wide, k)
+        assert trace.vertex_round.dtype == np.int64
+        assert trace.vertex_round.tolist() == narrow.vertex_round.tolist()
+        assert trace.edge_round.tolist() == narrow.edge_round.tolist()
+        assert hypergraph.component_labels(h.n, wide.edges).tolist() == labels.tolist()
 
 
 @pytest.mark.parametrize("gather_rows", [None, 999])
