@@ -42,6 +42,7 @@ class SweepConfig:
             raise PeelkitError(f"points must be >= 3, got {self.points}")
         if self.trials < 1:
             raise PeelkitError(f"trials must be >= 1, got {self.trials}")
+        _check_i_probe(self.i_probe)
         # n_max == n_min is a deliberate one-n sweep; any other range must
         # give `points` increasing n (a reversed one gives only n_min), or the
         # growth fit fails after the sweep.
@@ -83,26 +84,42 @@ class FitResult:
 
 
 def run_trial(params: ModelParams, i_probe: int = 30) -> TrialRecord:
-    """Sample one instance, peel it, and measure the trace."""
+    """Sample one instance, peel it, and measure the trace.
+
+    The sampled graph and the trace are released before the probe's
+    component labelling, so only one graph-sized working set is alive at a
+    time: the probe's edge rows and the labelling's link arrays.
+    """
     if params.k is None:
         raise PeelkitError("params.k is required for a trial")
+    _check_i_probe(i_probe)
     h = sample_binomial_hypergraph(params)
     trace = parallel_peel(h, params.k)
+    s = trace.s
+    core_vertices = int(np.count_nonzero(trace.vertex_round == 0))
+    core_edges = int(np.count_nonzero(trace.edge_round == 0))
     surv_v, surv_e = graph_after_rounds(trace, i_probe)
+    probe_edges = h.edges[surv_e]
+    del h, trace, surv_e
     if surv_v.size == 0:
         max_comp = 0
     else:
-        labels = component_labels(h.n, h.edges[surv_e])
+        labels = component_labels(params.n, probe_edges)
         max_comp = int(np.bincount(labels[surv_v]).max())
     return TrialRecord(
         n=params.n,
         trial_index=0,
         seed=params.seed,
-        s=trace.s,
-        core_vertices=int(trace.core_vertices.size),
-        core_edges=int(trace.core_edges.size),
+        s=s,
+        core_vertices=core_vertices,
+        core_edges=core_edges,
         max_component_after_I=max_comp,
     )
+
+
+def _check_i_probe(i_probe: int) -> None:
+    if i_probe < 0:
+        raise PeelkitError(f"i_probe must be >= 0, got {i_probe}")
 
 
 def trial_seed(master_seed: int, n_index: int, trial_index: int) -> int:

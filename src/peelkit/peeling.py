@@ -219,11 +219,25 @@ def sequential_kcore(h: Hypergraph, k: int):
 
 def graph_after_rounds(trace: PeelingTrace, i: int):
     """Surviving (vertex_ids, edge_ids) after min(i, s) peeling rounds;
-    i = 0 returns the whole graph."""
+    i = 0 returns the whole graph.  The ids are ascending, vertex ids at
+    id_dtype(n) and edge ids at id_dtype(m)."""
     if i < 0:
         raise PeelkitError(f"round index must be >= 0, got {i}")
     i = min(i, trace.s)
-    return (
-        np.flatnonzero((trace.vertex_round == 0) | (trace.vertex_round > i)),
-        np.flatnonzero((trace.edge_round == 0) | (trace.edge_round > i)),
+    return tuple(
+        _ids((rounds == 0) | (rounds > i))
+        for rounds in (trace.vertex_round, trace.edge_round)
     )
+
+
+def _ids(mask: np.ndarray) -> np.ndarray:
+    """np.flatnonzero(mask) at id_dtype(mask.size), found one gather block at
+    a time so that no full-length intp array is made."""
+    out = np.empty(np.count_nonzero(mask), dtype=id_dtype(mask.size))
+    pos = 0
+    for start in range(0, mask.size, _GATHER_ROWS):
+        block = np.flatnonzero(mask[start : start + _GATHER_ROWS])
+        block += start
+        out[pos : pos + block.size] = block
+        pos += block.size
+    return out

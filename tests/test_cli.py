@@ -118,6 +118,15 @@ class TestErrors:
         assert cli.main(["peel", "--input", str(hg), "--k", "2"]) == 2
         assert capsys.readouterr().err == f"peelkit: error: {hg} line 3: {fault}\n"
 
+    def test_negative_i_probe_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--r", "3", "--k", "2", "--c", "6", "--n-min", "256",
+                "--n-max", "4096", "--points", "3", "--trials", "2",
+                "--seed", "5", "--i-probe", "-1", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "peelkit: error: i_probe must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         hg = tmp_path / "missing.hg"
         assert cli.main(["peel", "--input", str(hg), "--k", "2"]) == 2

@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,7 @@ from peelkit import (
     run_trial,
     sample_binomial_hypergraph,
 )
-from peelkit.hypergraph import component_labels
+from peelkit.hypergraph import component_labels, id_dtype
 
 
 def union_find_roots(n, rows):
@@ -80,6 +81,32 @@ def test_trial_probe_matches_union_find():
     sizes = np.bincount(np.asarray(roots)[surv_v])
     assert surv_e.size > n // 2  # a giant survivor component exists
     assert rec.max_component_after_I == sizes.max()
+
+
+@pytest.mark.parametrize("c_factor", [0.8, 1.25])
+def test_trial_probe_at_every_round(c_factor):
+    """run_trial's row equals a union-find over the probe's edges and the
+    trace's core counts, for probes before, at and past the last round."""
+    n = 2**12
+    c = c_factor * compute_threshold_analytic(3, 2)[2]
+    params = ModelParams(r=3, n=n, c=c, seed=12, k=2)
+    h = sample_binomial_hypergraph(params)
+    trace = parallel_peel(h, 2)
+    assert trace.s > 3
+    for i_probe in (0, 1, 2, 3, trace.s, 30):
+        rec = run_trial(params, i_probe)
+        surv_v, surv_e = graph_after_rounds(trace, i_probe)
+        assert surv_v.dtype == id_dtype(n) and surv_e.dtype == id_dtype(h.m)
+        i = min(i_probe, trace.s)
+        vr, er = trace.vertex_round, trace.edge_round
+        assert np.array_equal(surv_v, np.flatnonzero((vr == 0) | (vr > i)))
+        assert np.array_equal(surv_e, np.flatnonzero((er == 0) | (er > i)))
+        roots = union_find_roots(n, h.edges[surv_e].tolist())
+        sizes = np.bincount(np.asarray(roots)[surv_v], minlength=1)
+        assert rec.max_component_after_I == sizes.max()
+        assert rec.s == trace.s
+        assert rec.core_vertices == trace.core_vertices.size
+        assert rec.core_edges == trace.core_edges.size
 
 
 BIG = 2**16

@@ -12,6 +12,7 @@ from peelkit import (
     TrialRecord,
     component_growth_check,
     compute_threshold_analytic,
+    experiments,
     fit_growth,
     read_sweep_csv,
     run_trial,
@@ -45,10 +46,20 @@ class TestRunTrial:
         rec = run_trial(ModelParams(r=2, n=5, c=5.0, seed=1, k=2), i_probe=0)
         assert rec.max_component_after_I == 5
 
+    def test_negative_i_probe_rejected_before_sampling(self, monkeypatch):
+        def sample(params):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(experiments, "sample_binomial_hypergraph", sample)
+        with pytest.raises(PeelkitError, match="i_probe"):
+            run_trial(ModelParams(r=3, n=64, c=2.0, seed=1, k=2), i_probe=-1)
+
     def test_supercritical_memory_budget(self):
         # Peak numpy allocation of one trial, per sampled edge.  Vertex ids at
         # int64 and whole-array copies in the trial took about 110 B/edge with
-        # numpy 2.4; int32 ids and at most three live link arrays take about 65.
+        # numpy 2.4, int32 ids and at most three live link arrays about 65.
+        # With the graph and the trace released before the labelling, the
+        # peak is the peel's own working set: about 51.
         c = 1.25 * compute_threshold_analytic(3, 2)[2]
         params = ModelParams(r=3, n=2**18, c=c, seed=17, k=2)
         m = sample_binomial_hypergraph(params).m
@@ -58,7 +69,7 @@ class TestRunTrial:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / m < 80, f"{peak / m:.1f} B per sampled edge"
+        assert peak / m < 55, f"{peak / m:.1f} B per sampled edge"
 
 
 class TestSweep:
@@ -122,6 +133,11 @@ class TestSweep:
         with pytest.raises(PeelkitError):
             SweepConfig(r=2, k=2, c=1.0, n_min=10, n_max=100, points=2,
                         trials=1, master_seed=0)
+
+    def test_negative_i_probe_rejected(self):
+        with pytest.raises(PeelkitError, match="i_probe"):
+            SweepConfig(r=2, k=2, c=1.0, n_min=10, n_max=100, points=3,
+                        trials=1, master_seed=0, i_probe=-1)
 
     def test_degenerate_grid_rejected(self):
         # a reversed range and a range too narrow for `points` distinct n

@@ -104,6 +104,9 @@ def test_int64_ids_give_the_same_results(h, k):
     """The int64 path, which only n >= 2^31 - 1 would take, run on small
     graphs: it must agree with the int32 one."""
     narrow = parallel_peel(h, k)
+    narrow_after = [graph_after_rounds(narrow, i) for i in range(narrow.s + 2)]
+    for v, e in narrow_after:
+        assert v.dtype == np.int32 and e.dtype == np.int32
     labels = hypergraph.component_labels(h.n, h.edges)
     wide = Hypergraph(r=h.r, n=h.n, edges=h.edges.astype(np.int64))
     with pytest.MonkeyPatch.context() as mp:
@@ -114,6 +117,10 @@ def test_int64_ids_give_the_same_results(h, k):
         assert trace.vertex_round.tolist() == narrow.vertex_round.tolist()
         assert trace.edge_round.tolist() == narrow.edge_round.tolist()
         assert hypergraph.component_labels(h.n, wide.edges).tolist() == labels.tolist()
+        for i, (v, e) in enumerate(narrow_after):
+            wide_v, wide_e = graph_after_rounds(trace, i)
+            assert wide_v.dtype == np.int64 and wide_e.dtype == np.int64
+            assert wide_v.tolist() == v.tolist() and wide_e.tolist() == e.tolist()
 
 
 @pytest.mark.parametrize("gather_rows", [None, 999])
