@@ -1,9 +1,10 @@
 """Static r-uniform hypergraphs with array-backed degree queries.
 
-Vertices are dense integer ids 0..n-1.  Edges are stored as an (m, r) array
-at the narrowest id width, `id_dtype(n)`: int32 when n < 2^31 - 1, else
-int64.  Each row is sorted ascending; the row order of the input is
-preserved, so reading a file and writing it back is byte-stable.
+Vertices are dense integer ids 0..n-1.  Edges are stored as an (m, r)
+column-major array, so each of the r id columns is contiguous, at the
+narrowest id width, `id_dtype(n)`: int32 when n < 2^31 - 1, else int64.
+Each row is sorted ascending; the row order of the input is preserved, so
+reading a file and writing it back is byte-stable.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ _DECIMAL = re.compile(r"[+-]?[0-9]+")
 def id_dtype(n: int) -> type:
     """The id width for vertices 0..n-1: int32 when n < 2^31 - 1, else int64.
 
-    The bound keeps n itself representable, so the peel can use n as a
-    sentinel vertex.  The same rule with max(n, m) sizes the peel's edge ids.
+    The bound keeps n itself representable.  The same rule with max(n, m)
+    sizes the peel's edge ids, degrees and round numbers, so its degree clamp
+    m + 1 and its round numbers (at most n) fit the same width.
     """
     return np.int32 if n < np.iinfo(np.int32).max else np.int64
 
@@ -35,12 +37,14 @@ def id_dtype(n: int) -> type:
 class Hypergraph:
     """Simple r-uniform hypergraph (no multi-edges, no repeated vertices in an edge).
 
-    `edges` has shape (m, r) and dtype `id_dtype(n)`, each row ascending.
+    `edges` has shape (m, r) and dtype `id_dtype(n)`, each row ascending.  It
+    is column-major (order="F"), so each id column is a contiguous view that
+    the peel gathers from in place.
     """
 
     r: int
     n: int
-    edges: np.ndarray  # shape (m, r), dtype id_dtype(n), rows sorted ascending
+    edges: np.ndarray  # (m, r), id_dtype(n), column-major, rows ascending
 
     @property
     def m(self) -> int:
@@ -50,7 +54,9 @@ class Hypergraph:
         """Degree of every vertex as an int64 array of length n."""
         if self.m == 0:
             return np.zeros(self.n, dtype=np.int64)
-        return np.bincount(self.edges.ravel(), minlength=self.n).astype(np.int64)
+        # a view, not an r * m copy, for column-major edges
+        flat = self.edges.ravel(order="K")
+        return np.bincount(flat, minlength=self.n).astype(np.int64)
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
@@ -77,8 +83,8 @@ def build_hypergraph(r: int, n: int, edges) -> Hypergraph:
             VertexRangeError, arr, row, f"edge {{}} has vertex outside [0, {n})"
         )
     # ids are in [0, n) now, so narrowing cannot wrap; the copy is private
-    arr = arr.astype(id_dtype(n))
-    arr.sort(axis=1)
+    arr = arr.astype(id_dtype(n), order="F")
+    _sort_rows([arr[:, j] for j in range(r)])
     if arr.shape[0] > 0:
         repeats = (arr[:, 1:] == arr[:, :-1]).any(axis=1)
         if repeats.any():
@@ -91,6 +97,19 @@ def build_hypergraph(r: int, n: int, edges) -> Hypergraph:
             dup[first] = False
             raise _row_error(DuplicateEdgeError, arr, dup.argmax(), "duplicate edge {}")
     return Hypergraph(r=r, n=n, edges=arr)
+
+
+def _sort_rows(cols: list) -> None:
+    """Sort each row of the equal-length columns `cols` ascending, in place,
+    by an odd-even transposition network of column minima and maxima: r
+    alternating layers of compare-exchanges sort r entries."""
+    r = len(cols)
+    lo = np.empty_like(cols[0])
+    for start in range(r):
+        for a in range(start % 2, r - 1, 2):
+            np.minimum(cols[a], cols[a + 1], out=lo)
+            np.maximum(cols[a], cols[a + 1], out=cols[a + 1])
+            cols[a][...] = lo
 
 
 def _row_error(cls, arr: np.ndarray, row, template: str) -> PeelkitError:
@@ -196,7 +215,9 @@ def write_hg(h: Hypergraph, path) -> None:
     with open(path, "wb") as f:
         f.write(f"{h.r} {h.n} {h.m}\n".encode())
         for start in range(0, h.m, _WRITE_BLOCK_ROWS):
-            f.write(_decimal_lines(h.edges[start : start + _WRITE_BLOCK_ROWS]))
+            # a row-major copy of the block keeps the digit arithmetic fast
+            rows = np.ascontiguousarray(h.edges[start : start + _WRITE_BLOCK_ROWS])
+            f.write(_decimal_lines(rows))
 
 
 def _decimal_lines(rows: np.ndarray) -> bytes:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PeelkitError
-from .hypergraph import Hypergraph, _first_distinct, id_dtype
+from .hypergraph import Hypergraph, _first_distinct, _sort_rows, id_dtype
 
 _MASK64 = (1 << 64) - 1
 
@@ -48,6 +48,8 @@ class ModelParams:
             raise PeelkitError(f"n must be >= r = {self.r}, got {self.n}")
         if self.n >= 1 << 63:
             raise PeelkitError(f"n = {self.n} does not fit int64 vertex ids")
+        if self.seed < 0:
+            raise PeelkitError(f"seed must be >= 0, got {self.seed}")
         if self.k is not None and self.k < 2:
             raise PeelkitError(f"k must be >= 2, got {self.k}")
         if not self.c >= 0:  # also rejects nan
@@ -123,11 +125,7 @@ def _random_subsets(n: int, r: int, size: int, rng: np.random.Generator) -> list
         for col in cols:
             np.copyto(t, j, where=t == col)
         cols.append(t)
-    for start in range(r):
-        for a in range(start % 2, r - 1, 2):
-            lo = np.minimum(cols[a], cols[a + 1])
-            np.maximum(cols[a], cols[a + 1], out=cols[a + 1])
-            cols[a] = lo
+    _sort_rows(cols)
     return cols
 
 
@@ -191,7 +189,7 @@ def sample_binomial_hypergraph(params: ModelParams) -> Hypergraph:
     for j in range(r):
         cols[j] = cols[j].astype(id_dtype(n))
     order = _order_by_largest(cols[-1], n)
-    edges = np.empty((m, r), dtype=id_dtype(n))
+    edges = np.empty((m, r), dtype=id_dtype(n), order="F")
     for j, col in enumerate(cols):
         edges[:, j] = col[order]
     return Hypergraph(r=r, n=n, edges=edges)

@@ -91,14 +91,17 @@ def parallel_peel(h: Hypergraph, k: int) -> PeelingTrace:
     and edge.
 
     Vertices of degree 0 (including initially isolated ones) are removed like
-    any other vertex of degree < k.  The live edges are kept as r contiguous
+    any other vertex of degree < k.  The live edges are read as r contiguous
     index columns, so a round is one blocked gather per column to find the
     edges it removes.  Its bookkeeping costs O(edges removed): degrees are
     decremented at the removed edges' vertices only, and the next round's
-    vertices are the ones among those that fell below k.  A removed edge's
-    entries are overwritten with the sentinel vertex n, which is never
-    removable, so the columns are compacted only once such dead rows make up
-    1/8 of them.
+    vertices are the ones among those that fell below k.  One state byte per
+    vertex marks it removed in this round (1) or in an earlier one (2).  OR-ed
+    over a row it is exactly 1 for an edge that goes now and has bit 2 set for
+    the row of an edge removed earlier, so no column is ever written.  The
+    first rounds gather from the columns of h.edges in place (views, as its
+    edges are column-major); the live rows are copied into private columns
+    only once dead rows are at least as many as live ones.
     """
     if k < 1:
         raise PeelkitError(f"k must be >= 1, got {k}")
@@ -109,50 +112,47 @@ def parallel_peel(h: Hypergraph, k: int) -> PeelingTrace:
     # No degree exceeds m, so deg < k is the test deg < min(k, m + 1).  The
     # clamped value fits idx and marks removed vertices as never removable.
     k_eff = min(k, m + 1)
-    # Private copies: the sentinel writes must not reach h.edges.
-    cols = [np.array(h.edges[:, j], dtype=idx) for j in range(h.r)]
+    # Read only: a copy is made only for a row-major h.edges.
+    cols = [np.ascontiguousarray(h.edges[:, j]) for j in range(h.r)]
     deg = np.zeros(n, dtype=idx)
     for col in cols:
         np.add.at(deg, col, one)
-    eids = np.arange(m, dtype=idx)
-    hit_buf = np.empty(m, dtype=bool)
-    tmp = np.empty(_GATHER_ROWS, dtype=bool)
-    dead = 0  # rows of cols already overwritten with the sentinel
+    eids = None  # edge id of each row once compacted; the row itself before
+    seen_buf = np.empty(m, dtype=np.uint8)
+    tmp = np.empty(_GATHER_ROWS, dtype=np.uint8)
+    dead = 0  # rows of removed edges still in cols
     vertex_round = np.zeros(n, dtype=idx)
     edge_round = np.zeros(m, dtype=idx)
 
-    # Slot n is the sentinel vertex and stays False.
-    removable = np.zeros(n + 1, dtype=bool)
+    state = np.zeros(n, dtype=np.uint8)
     ids = np.flatnonzero(deg < k_eff)  # may repeat a vertex after round 1
     i = 0
     while ids.size:
         i += 1
         vertex_round[ids] = i
-        removable[ids] = True
-        hit = hit_buf[: eids.size]
-        for start in range(0, hit.size, _GATHER_ROWS):
+        state[ids] = 1
+        seen = seen_buf[: cols[0].size]  # OR of the states in each row
+        for start in range(0, seen.size, _GATHER_ROWS):
             block = slice(start, start + _GATHER_ROWS)
-            out = hit[block]
-            np.take(removable, cols[0][block], out=out)
+            out = seen[block]
+            np.take(state, cols[0][block], out=out)
             for col in cols[1:]:
-                np.take(removable, col[block], out=tmp[: out.size])
+                np.take(state, col[block], out=tmp[: out.size])
                 out |= tmp[: out.size]
-        removable[ids] = False
-        hit_pos = np.flatnonzero(hit)
+        state[ids] = 2
+        hit_pos = np.flatnonzero(seen == 1)
         gone = hit_pos.size
         touched = np.concatenate([col[hit_pos] for col in cols])
         if gone:
-            edge_round[eids[hit_pos]] = i
+            edge_round[hit_pos if eids is None else eids[hit_pos]] = i
             np.subtract.at(deg, touched, one)
-            for col in cols:
-                col[hit_pos] = n
             dead += gone
-            if 8 * dead >= eids.size:
-                keep = cols[0] != n
+            if 2 * dead >= seen.size:
+                keep = seen == 0
                 for j, col in enumerate(cols):
                     cols[j] = col[keep]
                 del col  # frees the last old column now, not next round
-                eids = eids[keep]
+                eids = _ids(keep) if eids is None else eids[keep]
                 dead = 0
         # Park removed vertices at k_eff: all their edges went this round, so
         # no later decrement can make them removable again.

@@ -127,6 +127,14 @@ class TestErrors:
         assert capsys.readouterr().err == "peelkit: error: i_probe must be >= 0, got -1\n"
         assert not out.exists()
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.hg"
+        argv = ["gen", "--r", "3", "--n", "64", "--c", "2", "--seed", "-1",
+                "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "peelkit: error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         hg = tmp_path / "missing.hg"
         assert cli.main(["peel", "--input", str(hg), "--k", "2"]) == 2

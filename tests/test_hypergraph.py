@@ -1,18 +1,21 @@
 """Tests for the hypergraph data structure and its basic operations."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from peelkit import (
     DuplicateEdgeError,
     EdgeArityError,
+    Hypergraph,
     PeelkitError,
     VertexRangeError,
     build_hypergraph,
     read_hg,
     write_hg,
 )
-from peelkit.hypergraph import component_labels
+from peelkit.hypergraph import _sort_rows, component_labels
 
 
 def triangle():
@@ -89,6 +92,30 @@ class TestBuild:
         h = build_hypergraph(3, 5, [(4, 0, 2)])
         assert h.edges.tolist() == [[0, 2, 4]]
 
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_every_row_permutation_sorted(self, r):
+        rows = list(itertools.permutations([3, 5, 8, 13][:r]))
+        cols = [np.array(col) for col in zip(*rows)]
+        _sort_rows(cols)
+        assert np.stack(cols, axis=1).tolist() == [[3, 5, 8, 13][:r]] * len(rows)
+        # one edge per permutation, each on its own r ids
+        perms = list(itertools.permutations(range(r)))
+        rows = [[10 * i + v for v in perm] for i, perm in enumerate(perms)]
+        h = build_hypergraph(r, 10 * len(rows), rows)
+        assert h.edges.tolist() == [sorted(row) for row in rows]
+
+    @pytest.mark.parametrize("n, width", [(10, np.int32), (2**31, np.int64)])
+    def test_column_major_at_id_width(self, tmp_path, n, width):
+        rows = np.array([[4, 0, 2], [1, 3, 2], [0, 1, 9]], dtype=np.int64)
+        for edges in (rows, rows.tolist(), np.asfortranarray(rows)):
+            h = build_hypergraph(3, n, edges)
+            assert h.edges.flags.f_contiguous and h.edges.dtype == width
+            assert (np.diff(h.edges, axis=1) > 0).all()
+        write_hg(h, tmp_path / "g.hg")
+        back = read_hg(tmp_path / "g.hg")
+        assert back.edges.flags.f_contiguous and back.edges.dtype == width
+        assert back.edges.tolist() == [[0, 2, 4], [1, 2, 3], [0, 1, 9]]
+
     def test_empty(self):
         h = build_hypergraph(2, 4, [])
         assert h.m == 0
@@ -97,7 +124,8 @@ class TestBuild:
 
 class TestIdWidth:
     """Edges are stored at int32 below n = 2^31 - 1 and at int64 from there,
-    whatever the input's width; n itself must fit, as the peel's sentinel."""
+    whatever the input's width; n itself must fit, as the peel's round
+    numbers and degree clamp share the width."""
 
     @pytest.mark.parametrize(
         "n, width", [(2**31 - 2, np.int32), (2**31 - 1, np.int64), (2**40, np.int64)]
@@ -125,6 +153,12 @@ class TestDegrees:
     def test_isolated_vertex(self):
         h = build_hypergraph(2, 4, [(0, 1)])
         assert h.degree(3) == 0
+
+    def test_degrees_in_either_layout(self):
+        h = build_hypergraph(3, 6, [(0, 1, 2), (1, 2, 5), (0, 3, 4)])
+        assert h.degrees().tolist() == [2, 2, 2, 1, 1, 1]
+        c_order = Hypergraph(r=3, n=6, edges=np.ascontiguousarray(h.edges))
+        assert c_order.degrees().tolist() == [2, 2, 2, 1, 1, 1]
 
     def test_average_degree_triangle(self):
         assert triangle().degrees().mean() == 2

@@ -55,6 +55,12 @@ class TestModelParams:
             ModelParams(r=2, n=2**63, c=1e-9, seed=0)
         ModelParams(r=2, n=2**63 - 1, c=1e-9, seed=0)
 
+    def test_negative_seed_rejected(self):
+        # PCG64 would reject it later with a bare ValueError
+        with pytest.raises(PeelkitError, match="seed must be >= 0, got -1"):
+            ModelParams(r=3, n=64, c=2.0, seed=-1)
+        ModelParams(r=3, n=64, c=2.0, seed=0)
+
     def test_n_power_past_float_range_rejected(self):
         # 10^(6*59) overflows float64
         with pytest.raises(PeelkitError, match="float range"):
@@ -154,6 +160,7 @@ def test_sampled_edges_are_a_valid_ordered_edge_set(params):
     h = sample_binomial_hypergraph(params)
     e = h.edges
     assert e.shape == (h.m, params.r) and e.dtype == np.int32
+    assert e.flags.f_contiguous
     assert (np.diff(e, axis=1) > 0).all()
     assert h.m == 0 or (e.min() >= 0 and e.max() < params.n)
     assert len(set(map(tuple, e.tolist()))) == h.m
