@@ -161,14 +161,12 @@ def _first_distinct(cols: list, n: int):
     proves the rows distinct; otherwise the rows whose key repeats are
     compared exactly.
     """
-    key = np.zeros(cols[0].size, dtype=np.uint64)
-    for col in reversed(cols):
-        key *= np.uint64(n)
-        key += col.astype(np.uint64)
-    sorted_key = np.sort(key)
-    repeated = sorted_key[1:][sorted_key[1:] == sorted_key[:-1]]
+    key = _row_keys(cols, n)
+    key.sort()
+    repeated = key[1:][key[1:] == key[:-1]]
     if repeated.size == 0:
         return None
+    key = _row_keys(cols, n)  # rare: some key repeats, so find its rows
     tied = np.flatnonzero(np.isin(key, repeated))
     rows = np.stack([col[tied] for col in cols], axis=1)
     _, first = np.unique(rows, axis=0, return_index=True)
@@ -176,6 +174,16 @@ def _first_distinct(cols: list, n: int):
     keep[tied] = False
     keep[tied[first]] = True
     return np.flatnonzero(keep)
+
+
+def _row_keys(cols: list, n: int) -> np.ndarray:
+    """sum_j cols[j] * n^j mod 2^64 per row, built in one uint64 array with
+    no converted copy of a column."""
+    key = np.zeros(cols[0].size, dtype=np.uint64)
+    for col in reversed(cols):
+        key *= np.uint64(n)
+        np.add(key, col, out=key, dtype=np.uint64, casting="unsafe")
+    return key
 
 
 def component_labels(n: int, edges: np.ndarray) -> np.ndarray:

@@ -27,6 +27,12 @@ from .hypergraph import Hypergraph, id_dtype
 # fresh 8-byte-per-row array in every round.  2^14..2^18 rows time the same.
 _GATHER_ROWS = 1 << 16
 
+# One degree in a _cell_peel cell; the id sum sits below it.
+_DEG_ONE = 1 << 32
+# _cell_peel takes m below this, so that deg * 2^32 + id sum < m * 2^32 +
+# m^2 stays below 2^63.
+_CELL_EDGES = 1 << 30
+
 
 @dataclass
 class RoundRecord:
@@ -91,11 +97,88 @@ def parallel_peel(h: Hypergraph, k: int) -> PeelingTrace:
     and edge.
 
     Vertices of degree 0 (including initially isolated ones) are removed like
-    any other vertex of degree < k.  The live edges are read as r contiguous
-    index columns, so a round is one blocked gather per column to find the
-    edges it removes.  Its bookkeeping costs O(edges removed): degrees are
-    decremented at the removed edges' vertices only, and the next round's
-    vertices are the ones among those that fell below k.  One state byte per
+    any other vertex of degree < k.  Each round costs O(edges it removes) in
+    its bookkeeping: only the removed edges' vertices are updated, and the
+    next round's vertices are the ones among those that fell below k.  For
+    k <= 2 a removed vertex has at most one live edge, which a per-vertex
+    (degree, edge-id sum) cell names directly, so a round costs O(edges it
+    removes) in all (`_cell_peel`).  For k >= 3, or m >= 2^30, each round
+    scans the live rows for the ones that touch a removed vertex
+    (`_scan_peel`).  Neither kernel writes h.edges.
+    """
+    if k < 1:
+        raise PeelkitError(f"k must be >= 1, got {k}")
+    if min(k, h.m + 1) <= 2 and h.m < _CELL_EDGES:
+        return _cell_peel(h, k)
+    return _scan_peel(h, k)
+
+
+def _cell_peel(h: Hypergraph, k: int) -> PeelingTrace:
+    """parallel_peel for min(k, m + 1) <= 2 and m < _CELL_EDGES.
+
+    Each vertex keeps one int64 cell, deg * 2^32 + (sum of its live edge
+    ids), as an invertible Bloom lookup table keeps a count and a key sum
+    (Goodrich and Mitzenmacher, 2011).  The id sum may carry into the degree
+    bits, but deg <= m < 2^30 keeps the cell below 2^63, and a cell in
+    [2^32, 2^33) has degree exactly 1 and holds 2^32 plus the id of its one
+    live edge.  deg < k_eff is cell < k_eff * 2^32 for k_eff <= 2, since a
+    vertex of degree 0 or 1 has an id sum below 2^30.
+    """
+    n, m = h.n, h.m
+    idx = id_dtype(max(n, m))
+    k_eff = min(k, m + 1)
+    bound = k_eff * _DEG_ONE
+    cols = [np.ascontiguousarray(h.edges[:, j]) for j in range(h.r)]
+    cell = np.zeros(n, dtype=np.int64)
+    # one block of 2^32 + id at a time, so that no m-long int64 array is made
+    for start in range(0, m, _GATHER_ROWS):
+        stop = min(start + _GATHER_ROWS, m)
+        val = np.arange(start + _DEG_ONE, stop + _DEG_ONE, dtype=np.int64)
+        for col in cols:
+            np.add.at(cell, col[start:stop], val)
+    vertex_round = np.zeros(n, dtype=idx)
+    edge_round = np.zeros(m, dtype=idx)
+
+    ids = np.flatnonzero(cell < bound)  # may repeat a vertex after round 1
+    i = 0
+    while ids.size:
+        i += 1
+        vertex_round[ids] = i
+        # The one live edge of each removed vertex of degree 1.  Both ends of
+        # an edge may name it, so repeats are dropped after a sort
+        # (np.unique costs 50-80x as much).
+        hit = cell[ids]
+        hit = hit[hit >= _DEG_ONE]
+        hit.sort()
+        first = np.ones(hit.size, dtype=bool)
+        np.not_equal(hit[1:], hit[:-1], out=first[1:])
+        eids = hit[first]
+        del hit, first
+        eids -= _DEG_ONE
+        edge_round[eids] = i
+        touched = np.empty((h.r, eids.size), dtype=cols[0].dtype)
+        for col, verts in zip(cols, touched):
+            np.take(col, eids, out=verts)
+        eids += _DEG_ONE  # what each edge added to its vertices' cells
+        for verts in touched:
+            np.subtract.at(cell, verts, eids)
+        # Park removed vertices at the bound: all their edges went this
+        # round, so no later update can make them removable again.
+        cell[ids] = bound
+        del ids, eids
+        # Only a vertex whose degree just fell can have become removable.  A
+        # column at a time keeps the int64 gather of cells to 1/r of the
+        # touched entries, which kept the subcritical sweep's RSS down.
+        ids = np.concatenate([verts[cell[verts] < bound] for verts in touched])
+    return PeelingTrace(k=k, vertex_round=vertex_round, edge_round=edge_round)
+
+
+def _scan_peel(h: Hypergraph, k: int) -> PeelingTrace:
+    """parallel_peel for any k and m, by scanning the live rows each round.
+
+    The live edges are read as r contiguous index columns, so a round is one
+    blocked gather per column to find the edges it removes.  Degrees are
+    decremented at the removed edges' vertices only.  One state byte per
     vertex marks it removed in this round (1) or in an earlier one (2).  OR-ed
     over a row it is exactly 1 for an edge that goes now and has bit 2 set for
     the row of an edge removed earlier, so no column is ever written.  The
@@ -103,8 +186,6 @@ def parallel_peel(h: Hypergraph, k: int) -> PeelingTrace:
     edges are column-major); the live rows are copied into private columns
     only once dead rows are at least as many as live ones.
     """
-    if k < 1:
-        raise PeelkitError(f"k must be >= 1, got {k}")
     n, m = h.n, h.m
     # int32 ids halve the memory traffic of every gather and compaction.
     idx = id_dtype(max(n, m))

@@ -1,6 +1,8 @@
 """Property tests for parallel peeling on arbitrary small hypergraphs,
 including n = 0, k = 1 and edge-less graphs, and on sampled supercritical
-graphs whose late rounds scan rows of already removed edges."""
+graphs.  Only k >= 3 (or m >= 2^30) runs the scan kernel, whose late rounds
+scan rows of already removed edges; k <= 2 runs the cell kernel, which is
+checked against the scan kernel as a reference."""
 
 import itertools
 import tracemalloc
@@ -126,7 +128,7 @@ def test_int64_ids_give_the_same_results(h, k):
 
 @pytest.mark.parametrize("gather_rows", [None, 999])
 @pytest.mark.parametrize("n", [2**12, 2**13, 2**14])
-@pytest.mark.parametrize("r,k", [(3, 2), (2, 3)])
+@pytest.mark.parametrize("r,k", [(3, 2), (2, 3), (3, 3)])
 def test_supercritical_sample_matches_oracles(r, k, n, gather_rows, monkeypatch):
     if gather_rows:  # many gather blocks, the last one partial
         monkeypatch.setattr(peeling, "_GATHER_ROWS", gather_rows)
@@ -136,9 +138,10 @@ def test_supercritical_sample_matches_oracles(r, k, n, gather_rows, monkeypatch)
     trace = parallel_peel(h, k)
     assert h.edges.tobytes() == before
     assert trace.core_edges.size > 0
-    # The kernel keeps the rows of removed edges in its columns until they
-    # are at least as many as the live rows.  Replayed on the trace, that
-    # rule must leave some round scanning rows of already removed edges.
+    # For k >= 3 the scan kernel keeps the rows of removed edges in its
+    # columns until they are at least as many as the live rows.  Replayed on
+    # the trace, that rule must leave some round scanning rows of already
+    # removed edges.  (k = 2 runs the cell kernel, which scans no rows.)
     rows, dead, scanned_dead = h.m, 0, []
     for rec in trace.rounds:
         scanned_dead.append(dead > 0)
@@ -197,3 +200,67 @@ def test_peel_memory_above_the_edges():
     finally:
         tracemalloc.stop()
     assert peak / h.m < 25, f"{peak / h.m:.1f} B per edge above h.edges"
+
+
+@settings_
+@given(hypergraphs(), st.integers(1, 2), st.integers(1, 8))
+def test_cell_kernel_matches_scan_kernel(h, k, gather_rows):
+    """For k <= 2 the cell kernel gives the scan kernel's trace, with the
+    cells built over many gather blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(peeling, "_GATHER_ROWS", gather_rows)
+        cell = peeling._cell_peel(h, k)
+        scan = peeling._scan_peel(h, k)
+    assert cell.vertex_round.tolist() == scan.vertex_round.tolist()
+    assert cell.edge_round.tolist() == scan.edge_round.tolist()
+
+
+def test_cell_id_sum_carries_past_2_32():
+    # Vertex 0 is in 93,000 edges with two leaves each, then in one edge into
+    # the 2-core on vertices 1..4.  Its id sum passes 2^32 and carries into
+    # the degree bits; round 1 leaves it with that one last edge.
+    hub_edges = 93_000
+    core = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+    leaves = np.arange(5, 5 + 2 * hub_edges).reshape(hub_edges, 2)
+    edges = np.column_stack([np.zeros(hub_edges, dtype=np.int64), leaves])
+    edges = np.concatenate([core, edges, [(0, 1, 2)]])
+    h = build_hypergraph(3, 5 + 2 * hub_edges, edges)
+    assert sum(range(4, h.m)) >= 2**32
+    trace = parallel_peel(h, 2)
+    assert trace.s == 2 and trace.vertex_round[0] == 2
+    core_v, core_e = sequential_kcore(h, 2)
+    assert trace.core_vertices.tolist() == core_v.tolist() == [1, 2, 3, 4]
+    assert trace.core_edges.tolist() == core_e.tolist() == [0, 1, 2, 3]
+    states = replay(h, 2)
+    assert trace.s == len(states) - 1
+    for i in range(trace.s + 1):
+        v, e = graph_after_rounds(trace, i)
+        assert (v.tolist(), e.tolist()) == states[i]
+
+
+def test_kernel_choice(monkeypatch):
+    """The cell kernel takes k <= 2 below its edge bound; k >= 3, and m at
+    or above the bound, take the scan kernel."""
+    calls = []
+
+    def spy(name):
+        kernel = getattr(peeling, name)
+
+        def run(h, k):
+            calls.append(name)
+            return kernel(h, k)
+
+        monkeypatch.setattr(peeling, name, run)
+
+    spy("_cell_peel")
+    spy("_scan_peel")
+    h = build_hypergraph(3, 7, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (0, 2, 4)])
+    for k in (1, 2, 3):
+        parallel_peel(h, k)
+    assert calls == ["_cell_peel", "_cell_peel", "_scan_peel"]
+    calls.clear()
+    monkeypatch.setattr(peeling, "_CELL_EDGES", h.m)
+    parallel_peel(h, 2)
+    monkeypatch.setattr(peeling, "_CELL_EDGES", h.m + 1)
+    parallel_peel(h, 2)
+    assert calls == ["_scan_peel", "_cell_peel"]
