@@ -88,7 +88,7 @@ def run_trial(params: ModelParams, i_probe: int = 30) -> TrialRecord:
 
     The sampled graph and the trace are released before the probe's
     component labelling, so only one graph-sized working set is alive at a
-    time: the probe's edge rows and the labelling's link arrays.
+    time: the probe's edge rows and the labelling's kept copy of them.
     """
     if params.k is None:
         raise PeelkitError("params.k is required for a trial")

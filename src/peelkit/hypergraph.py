@@ -20,6 +20,9 @@ from .errors import DuplicateEdgeError, EdgeArityError, PeelkitError, VertexRang
 # Rows per write_hg block; at r = 3 and 7-digit ids its digit arrays take
 # about 3 MB, and larger blocks were slower (cache misses).
 _WRITE_BLOCK_ROWS = 1 << 14
+# Rows (and vertices) per component_labels block: its gathers, compares and
+# index casts stay in cache.
+_LABEL_ROWS = 1 << 15
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
@@ -190,31 +193,98 @@ def component_labels(n: int, edges: np.ndarray) -> np.ndarray:
     """Component label per vertex for the graph linking each edge's vertices.
 
     Components are numbered by their smallest vertex, in increasing order.
-    Each pass hooks every root to the smallest root it links to, shortcuts to
-    roots and drops the links inside one root (Liu and Tarjan, SOSA 2019).
-    Pointers only go down, so a component's smallest vertex is its root.
+    This is min-root hooking (Liu and Tarjan, SOSA 2019, after Shiloach and
+    Vishkin) on the rows themselves.  Every row end is a root when a pass
+    starts.  A pass hooks each end to its row's smallest end, jumps every
+    pointer to its root, then relabels the rows and drops those whose ends
+    all share one root.  Pointers only go down, so a component's smallest
+    vertex is its root.
     """
     idx = id_dtype(n)
     parent = np.arange(n, dtype=idx)
-    # each edge's other vertices linked to its last vertex: enough to connect it
-    lo = edges[:, :-1].astype(idx).ravel()
-    hi = np.repeat(edges[:, -1].astype(idx, copy=False), edges.shape[1] - 1)
-    # Each step replaces one link array at a time, so at most three are alive.
-    while lo.size:
-        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi, out=hi)
-        np.minimum.at(parent, hi, lo)
-        while not np.array_equal(grand := parent[parent], parent):
-            parent = grand
-        del grand
-        lo = parent[lo]
-        hi = parent[hi]
-        keep = lo != hi
-        lo = lo[keep]
-        hi = hi[keep]
-        del keep
-    label = np.cumsum(parent == np.arange(n, dtype=idx), dtype=np.int64)
-    label -= 1
-    return label[parent]
+    # the first pass reads the input in place; later ones its kept rows
+    cols = [edges[:, j] for j in range(edges.shape[1])]
+    kept = None
+    while cols[0].size:
+        _hook(parent, cols)
+        _jump(parent)
+        if kept is None:
+            kept = np.empty((len(cols), cols[0].size), dtype=idx)
+        cols = _relabel(parent, cols, kept)
+    del cols, kept  # freed before the int64 labels are allocated
+    return _root_labels(parent)
+
+
+def _hook(parent: np.ndarray, cols: list) -> None:
+    """parent[v] = min(parent[v], smallest end of each row with end v)."""
+    low = np.empty(min(cols[0].size, _LABEL_ROWS), dtype=parent.dtype)
+    for start in range(0, cols[0].size, _LABEL_ROWS):
+        block = [col[start : start + _LABEL_ROWS] for col in cols]
+        out = low[: block[0].size]
+        np.copyto(out, block[0], casting="unsafe")
+        for col in block[1:]:
+            np.minimum(out, col, out=out, casting="unsafe")
+        for col in block:
+            np.minimum.at(parent, col, out)
+
+
+def _jump(parent: np.ndarray) -> None:
+    """Point every vertex at its root, in place.  Blocks go in increasing
+    order, so the vertices before a block (all pointers go down) already
+    point at roots, and pointer doubling inside the block soon ends."""
+    grand = np.empty(min(parent.size, _LABEL_ROWS), dtype=parent.dtype)
+    for start in range(0, parent.size, _LABEL_ROWS):
+        block = parent[start : start + _LABEL_ROWS]
+        out = grand[: block.size]
+        while True:
+            np.take(parent, block, out=out)
+            if np.array_equal(out, block):
+                break
+            block[...] = out
+
+
+def _relabel(parent: np.ndarray, cols: list, kept: np.ndarray) -> list:
+    """Replace each row end by its root and keep the rows whose ends do not
+    all share one root, written to the front of `kept`'s columns.  Rows only
+    move to the front, and a block is gathered before any of it is written,
+    so `cols` may be views of `kept`.  Returns the kept columns as views."""
+    size = min(cols[0].size, _LABEL_ROWS)
+    ends = np.empty((len(cols), size), dtype=parent.dtype)
+    split = np.empty(size, dtype=bool)
+    differs = np.empty(size, dtype=bool)
+    count = 0
+    for start in range(0, cols[0].size, _LABEL_ROWS):
+        size = min(cols[0].size - start, _LABEL_ROWS)
+        block = ends[:, :size]
+        for col, out in zip(cols, block):
+            np.take(parent, col[start : start + size], out=out)
+        keep = split[:size]
+        keep[...] = False
+        for out in block[1:]:
+            np.not_equal(block[0], out, out=differs[:size])
+            keep |= differs[:size]
+        rows = int(np.count_nonzero(keep))
+        for out, dest in zip(block, kept):
+            np.compress(keep, out, out=dest[count : count + rows])
+        count += rows
+    return list(kept[:, :count])
+
+
+def _root_labels(parent: np.ndarray) -> np.ndarray:
+    """int64 label per vertex from pointers to roots: the roots are numbered
+    in increasing order, and each vertex takes its root's number.  A root is
+    not above its vertices, so its number is written before it is read."""
+    label = np.empty(parent.size, dtype=np.int64)
+    roots = 0
+    for start in range(0, parent.size, _LABEL_ROWS):
+        block = parent[start : start + _LABEL_ROWS]
+        out = label[start : start + _LABEL_ROWS]
+        ids = np.arange(start, start + block.size, dtype=block.dtype)
+        np.cumsum(block == ids, out=out)
+        out += roots - 1
+        roots = int(out[-1]) + 1
+        out[...] = label[block]
+    return label
 
 
 def write_hg(h: Hypergraph, path) -> None:
@@ -271,15 +341,17 @@ def read_hg(path) -> Hypergraph:
                 f"{path} line {lineno}: bad .hg header {line.strip()!r}, "
                 "expected 'r n m' with r >= 2"
             )
-        r, n, m = header
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                # numpy < 2 parsed "1.5" as 1 with a DeprecationWarning
-                warnings.simplefilter("error", DeprecationWarning)
-                arr = np.loadtxt(f, dtype=np.int64, comments="#", ndmin=2)
-        except (ValueError, DeprecationWarning):
-            arr = None
+    r, n, m = header
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # numpy < 2 parsed "1.5" as 1 with a DeprecationWarning
+            warnings.simplefilter("error", DeprecationWarning)
+            # from the path, numpy reads the edge lines faster than from `f`
+            arr = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2,
+                             skiprows=lineno, encoding="utf-8")
+    except (ValueError, DeprecationWarning):  # UnicodeDecodeError is one
+        arr = None
     if arr is None or (arr.size and arr.shape[1] != r):
         raise _bad_edge_line(path, lineno, r)
     if arr.size == 0:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from peelkit import (
     run_trial,
     sample_binomial_hypergraph,
 )
+from peelkit import hypergraph
 from peelkit.hypergraph import component_labels, id_dtype
 
 
@@ -57,13 +59,17 @@ def edge_lists(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(edge_lists())
-@example((0, np.empty((0, 3), dtype=np.int64)))
-@example((7, np.empty((0, 2), dtype=np.int64)))
-@example((6, np.array([[5, 4], [0, 5], [3, 2], [2, 1]])))
-def test_labels_match_union_find(case):
+@given(edge_lists(), st.integers(1, 8))
+@example((0, np.empty((0, 3), dtype=np.int64)), 1)
+@example((7, np.empty((0, 2), dtype=np.int64)), 1)
+@example((6, np.array([[5, 4], [0, 5], [3, 2], [2, 1]])), 1)
+def test_labels_match_union_find(case, block_rows):
+    """Also with blocks of a few rows and vertices, so that rows are
+    compacted across blocks and pointers jumped across blocks."""
     n, edges = case
-    labels = component_labels(n, edges)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hypergraph, "_LABEL_ROWS", block_rows)
+        labels = component_labels(n, edges)
     roots = union_find_roots(n, edges.tolist())
     # same partition, numbered by smallest vertex in increasing order
     assert labels.dtype == np.int64
@@ -141,7 +147,7 @@ def test_shuffled_random_tree():
 
 def test_star_on_largest_vertex_fast():
     # Hooking each root to any smaller root would take n - 1 passes here;
-    # hooking it to its smallest linked root takes two.
+    # hooking it to its row's smallest end takes two.
     leaves = np.arange(BIG - 1)
     edges = np.stack([leaves, np.full(BIG - 1, BIG - 1)], axis=1)
     t0 = time.perf_counter()
@@ -149,6 +155,26 @@ def test_star_on_largest_vertex_fast():
     assert time.perf_counter() - t0 < 1.0
     assert not labels.any()
     assert_matches_union_find(BIG, edges)
+
+
+def test_labelling_memory_per_probe_row():
+    # Peak numpy allocation of component_labels alone, per row, on the probe
+    # rows of one supercritical trial (n = 2^18, 216,502 rows).  Link arrays,
+    # two per row, took about 29.2 B/row; the rows relabelled block by block
+    # into one kept copy take about 21, of which the int64 labels are 9.7.
+    n = 2**18
+    c = 1.25 * compute_threshold_analytic(3, 2)[2]
+    h = sample_binomial_hypergraph(ModelParams(r=3, n=n, c=c, seed=17, k=2))
+    _, surv_e = graph_after_rounds(parallel_peel(h, 2), 30)
+    rows = h.edges[surv_e]
+    del h, surv_e
+    tracemalloc.start()
+    try:
+        component_labels(n, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(rows) < 30, f"{peak / len(rows):.1f} B per probe row"
 
 
 def test_sweep_probe_runs_without_scipy(tmp_path):

@@ -202,6 +202,21 @@ def test_peel_memory_above_the_edges():
     assert peak / h.m < 25, f"{peak / h.m:.1f} B per edge above h.edges"
 
 
+def test_scan_peel_memory_above_the_edges():
+    # The same budget for the scan kernel, which every k >= 3 peel runs: its
+    # degrees, state bytes, live edge ids and the trace take about 33.5
+    # B/edge above h.edges.
+    c = 1.25 * compute_threshold_analytic(3, 2)[2]
+    h = sample_binomial_hypergraph(ModelParams(r=3, n=2**18, c=c, seed=17, k=3))
+    tracemalloc.start()
+    try:
+        parallel_peel(h, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / h.m < 40, f"{peak / h.m:.1f} B per edge above h.edges"
+
+
 @settings_
 @given(hypergraphs(), st.integers(1, 2), st.integers(1, 8))
 def test_cell_kernel_matches_scan_kernel(h, k, gather_rows):
