@@ -226,8 +226,12 @@ def contraction_check(trace: PeelingTrace, r: int, k: int) -> ContractionReport:
     (i) k * |{deg >= k}| <= r * |E| at the start of every round, and
     (ii) survivors of a round <= vertices of degree >= k at its start.
 
-    Violations indicate a peeler bug (both are theorems); they are collected
-    in the report rather than raised.
+    Both are theorems of the peeling process, but the trace derives each
+    round's deg >= k count from the next round's survivor count, so (ii)
+    holds by construction.  Only (i) can flag a trace whose rounds do not
+    fit together, such as one with survivors left of degree >= k and no
+    edges to hold them.  Violations are collected in the report rather than
+    raised.
     """
     report = ContractionReport()
     v_before = trace.n

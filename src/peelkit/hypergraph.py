@@ -55,11 +55,9 @@ class Hypergraph:
 
     def degrees(self) -> np.ndarray:
         """Degree of every vertex as an int64 array of length n."""
-        if self.m == 0:
-            return np.zeros(self.n, dtype=np.int64)
         # a view, not an r * m copy, for column-major edges
         flat = self.edges.ravel(order="K")
-        return np.bincount(flat, minlength=self.n).astype(np.int64)
+        return np.bincount(flat, minlength=self.n).astype(np.int64, copy=False)
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
@@ -190,15 +188,15 @@ def _row_keys(cols: list, n: int) -> np.ndarray:
 
 
 def component_labels(n: int, edges: np.ndarray) -> np.ndarray:
-    """Component label per vertex for the graph linking each edge's vertices.
+    """Component label per vertex for the graph linking each edge's vertices:
+    the smallest vertex of its component, at dtype `id_dtype(n)`.
 
-    Components are numbered by their smallest vertex, in increasing order.
     This is min-root hooking (Liu and Tarjan, SOSA 2019, after Shiloach and
     Vishkin) on the rows themselves.  Every row end is a root when a pass
     starts.  A pass hooks each end to its row's smallest end, jumps every
     pointer to its root, then relabels the rows and drops those whose ends
     all share one root.  Pointers only go down, so a component's smallest
-    vertex is its root.
+    vertex is its root, and the pointers left are the labels.
     """
     idx = id_dtype(n)
     parent = np.arange(n, dtype=idx)
@@ -211,8 +209,7 @@ def component_labels(n: int, edges: np.ndarray) -> np.ndarray:
         if kept is None:
             kept = np.empty((len(cols), cols[0].size), dtype=idx)
         cols = _relabel(parent, cols, kept)
-    del cols, kept  # freed before the int64 labels are allocated
-    return _root_labels(parent)
+    return parent
 
 
 def _hook(parent: np.ndarray, cols: list) -> None:
@@ -268,23 +265,6 @@ def _relabel(parent: np.ndarray, cols: list, kept: np.ndarray) -> list:
             np.compress(keep, out, out=dest[count : count + rows])
         count += rows
     return list(kept[:, :count])
-
-
-def _root_labels(parent: np.ndarray) -> np.ndarray:
-    """int64 label per vertex from pointers to roots: the roots are numbered
-    in increasing order, and each vertex takes its root's number.  A root is
-    not above its vertices, so its number is written before it is read."""
-    label = np.empty(parent.size, dtype=np.int64)
-    roots = 0
-    for start in range(0, parent.size, _LABEL_ROWS):
-        block = parent[start : start + _LABEL_ROWS]
-        out = label[start : start + _LABEL_ROWS]
-        ids = np.arange(start, start + block.size, dtype=block.dtype)
-        np.cumsum(block == ids, out=out)
-        out += roots - 1
-        roots = int(out[-1]) + 1
-        out[...] = label[block]
-    return label
 
 
 def write_hg(h: Hypergraph, path) -> None:

@@ -102,11 +102,15 @@ def coefficients(r: int, k: int) -> tuple[float, float]:
 
 
 def _golden_section(f, lo: float, hi: float, tol: float) -> float:
+    """Minimum of unimodal `f` on [lo, hi], refined to width `tol` or until
+    the bracket stops shrinking, when its width is down to float spacing."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    width = math.inf
+    while tol < b - a < width:
+        width = b - a
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -123,10 +127,12 @@ def compute_threshold_analytic(r: int, k: int, tol: float = 1e-9):
     c_analytic) with c_analytic = (r-1)! * lambda_star.
 
     Bracket via a 1000-point log-spaced grid on (1e-3, 50], then refine with
-    golden-section to interval width `tol`.
+    golden-section to interval width `tol` (> 0), or to float spacing.
     """
     if r < 2 or k < 2 or (r, k) == (2, 2):
         raise PeelkitError(f"threshold undefined for r={r}, k={k}")
+    if not tol > 0:  # NaN too
+        raise PeelkitError(f"tol must be > 0, got {tol}")
     grid = np.logspace(-3, math.log10(50.0), 1000)
     vals = [threshold_objective(float(x), r, k) for x in grid]
     i = int(np.argmin(vals))
@@ -171,6 +177,10 @@ def compute_threshold_empirical(
     Finite-size rounding stays below tol for n >= 1e5 at the (r, k) pairs
     exercised here.
     """
+    if trials < 1:
+        raise PeelkitError(f"trials must be >= 1, got {trials}")
+    if not tol > 0:  # NaN too
+        raise PeelkitError(f"tol must be > 0, got {tol}")
     if c_hi is None:
         c_hi = 8.0 * math.factorial(r - 1) * k
     if _is_supercritical(r, k, c_lo, n, trials, seed):

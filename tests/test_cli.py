@@ -74,6 +74,16 @@ class TestThreshold:
         assert d["a_star"] == pytest.approx(2.4663, abs=1e-3)
         assert d["c_empirical"] is None
 
+    @pytest.mark.parametrize("argv, fault", [
+        (["--tol", "0"], "tol must be > 0, got 0.0"),
+        (["--method", "empirical", "--trials", "0"], "trials must be >= 1, got 0"),
+    ])
+    def test_bad_argument_exits_2(self, capsys, argv, fault):
+        assert cli.main(["threshold", "--r", "3", "--k", "2", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"peelkit: error: {fault}\n"
+
 
 class TestVerify:
     def test_json_reports(self, tmp_path, capsys):

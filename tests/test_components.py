@@ -70,10 +70,9 @@ def test_labels_match_union_find(case, block_rows):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hypergraph, "_LABEL_ROWS", block_rows)
         labels = component_labels(n, edges)
-    roots = union_find_roots(n, edges.tolist())
-    # same partition, numbered by smallest vertex in increasing order
-    assert labels.dtype == np.int64
-    assert labels.tolist() == np.unique(roots, return_inverse=True)[1].tolist()
+    # each vertex labelled by the smallest vertex of its component
+    assert labels.dtype == id_dtype(n)
+    assert labels.tolist() == union_find_roots(n, edges.tolist())
 
 
 def test_trial_probe_matches_union_find():
@@ -120,8 +119,8 @@ BIG = 2**16
 
 def assert_matches_union_find(n, edges):
     labels = component_labels(n, edges)
-    roots = union_find_roots(n, edges.tolist())
-    assert labels.tolist() == np.unique(roots, return_inverse=True)[1].tolist()
+    assert labels.dtype == id_dtype(n)
+    assert labels.tolist() == union_find_roots(n, edges.tolist())
 
 
 def test_shuffled_path():
@@ -161,7 +160,8 @@ def test_labelling_memory_per_probe_row():
     # Peak numpy allocation of component_labels alone, per row, on the probe
     # rows of one supercritical trial (n = 2^18, 216,502 rows).  Link arrays,
     # two per row, took about 29.2 B/row; the rows relabelled block by block
-    # into one kept copy take about 21, of which the int64 labels are 9.7.
+    # into one kept copy take about 21: 12 for the kept copy, 4.8 for the
+    # parent array that is returned as the labels, the rest block buffers.
     n = 2**18
     c = 1.25 * compute_threshold_analytic(3, 2)[2]
     h = sample_binomial_hypergraph(ModelParams(r=3, n=n, c=c, seed=17, k=2))

@@ -15,7 +15,9 @@ from peelkit import (
     read_hg,
     write_hg,
 )
-from peelkit.hypergraph import _sort_rows, component_labels
+from peelkit.hypergraph import _sort_rows, component_labels, id_dtype
+
+from test_components import union_find_roots
 
 
 def triangle():
@@ -188,11 +190,13 @@ class TestDegrees:
 
 class TestComponents:
     def test_triangle_one_block(self):
-        assert component_labels(3, triangle().edges).tolist() == [0, 0, 0]
+        labels = component_labels(3, triangle().edges)
+        assert labels.dtype == id_dtype(3)
+        assert labels.tolist() == [0, 0, 0]
 
     def test_two_blocks(self):
         h = build_hypergraph(3, 6, [(0, 1, 2), (3, 4, 5)])
-        assert component_labels(h.n, h.edges).tolist() == [0, 0, 0, 1, 1, 1]
+        assert component_labels(h.n, h.edges).tolist() == [0, 0, 0, 3, 3, 3]
 
     def test_no_edges_singletons(self):
         h = build_hypergraph(2, 3, [])
@@ -200,20 +204,15 @@ class TestComponents:
 
     def test_blocks_partition(self):
         rng = np.random.default_rng(5)
-        import itertools
-
         for _ in range(10):
             n = int(rng.integers(3, 25))
             pool = list(itertools.combinations(range(n), 2))
             take = rng.random(len(pool)) < 0.08
             h = build_hypergraph(2, n, [e for e, t in zip(pool, take) if t])
             labels = component_labels(n, h.edges)
-            # each edge inside one block; blocks numbered 0, 1, ... in the
-            # order of their smallest vertex
-            assert (labels[h.edges] == labels[h.edges[:, :1]]).all()
-            _, first = np.unique(labels, return_index=True)
-            assert labels[first].tolist() == list(range(first.size))
-            assert (np.diff(first) > 0).all()
+            # each vertex labelled by the smallest vertex of its component
+            assert labels.dtype == id_dtype(n)
+            assert labels.tolist() == union_find_roots(n, h.edges.tolist())
 
 
 class TestHgFormat:

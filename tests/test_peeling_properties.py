@@ -111,6 +111,7 @@ def test_int64_ids_give_the_same_results(h, k):
     for v, e in narrow_after:
         assert v.dtype == np.int32 and e.dtype == np.int32
     labels = hypergraph.component_labels(h.n, h.edges)
+    assert labels.dtype == np.int32
     wide = Hypergraph(r=h.r, n=h.n, edges=h.edges.astype(np.int64))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hypergraph, "id_dtype", lambda n: np.int64)
@@ -119,7 +120,9 @@ def test_int64_ids_give_the_same_results(h, k):
         assert trace.vertex_round.dtype == np.int64
         assert trace.vertex_round.tolist() == narrow.vertex_round.tolist()
         assert trace.edge_round.tolist() == narrow.edge_round.tolist()
-        assert hypergraph.component_labels(h.n, wide.edges).tolist() == labels.tolist()
+        wide_labels = hypergraph.component_labels(h.n, wide.edges)
+        assert wide_labels.dtype == np.int64
+        assert wide_labels.tolist() == labels.tolist()
         for i, (v, e) in enumerate(narrow_after):
             wide_v, wide_e = graph_after_rounds(trace, i)
             assert wide_v.dtype == np.int64 and wide_e.dtype == np.int64

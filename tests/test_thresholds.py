@@ -3,6 +3,7 @@ coefficients."""
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -113,6 +114,18 @@ class TestAnalytic:
             vals = [threshold_objective(float(x), r, k) for x in grid]
             assert lam <= min(vals) + 1e-7
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_tol_not_positive_rejected(self, tol):
+        with pytest.raises(PeelkitError, match="tol must be > 0"):
+            compute_threshold_analytic(3, 2, tol=tol)
+
+    def test_tol_below_float_spacing_returns(self):
+        # the bracket stops shrinking at float spacing, long before 1e-20
+        t0 = time.perf_counter()
+        x_fine = compute_threshold_analytic(3, 2, tol=1e-20)[0]
+        assert time.perf_counter() - t0 < 1.0
+        assert x_fine == pytest.approx(compute_threshold_analytic(3, 2, tol=1e-12)[0], abs=1e-9)
+
 
 class TestCoefficients:
     def test_r3_k2(self):
@@ -146,6 +159,15 @@ class TestEmpirical:
             compute_threshold_empirical(
                 2, 3, n=2000, trials=3, tol=0.2, seed=1, c_lo=0.1, c_hi=0.3
             )
+
+    def test_no_trials_rejected(self):
+        with pytest.raises(PeelkitError, match="trials must be >= 1, got 0"):
+            compute_threshold_empirical(2, 3, n=2000, trials=0)
+
+    @pytest.mark.parametrize("tol", [0.0, -0.1, math.nan])
+    def test_tol_not_positive_rejected(self, tol):
+        with pytest.raises(PeelkitError, match="tol must be > 0"):
+            compute_threshold_empirical(2, 3, n=2000, trials=3, tol=tol)
 
     def test_small_scale_estimate(self):
         # coarse n: just check the bisection lands in the right region
