@@ -51,10 +51,12 @@ from .peeling import (
 )
 from .thresholds import (
     ThresholdResult,
+    approach_rate,
     coefficients,
     compute_threshold_analytic,
     compute_threshold_empirical,
     poisson_tail,
+    round_recurrence,
     threshold_objective,
     threshold_report,
 )

@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     th.add_argument("--r", type=int, required=True)
     th.add_argument("--k", type=int, required=True)
     th.add_argument("--method", choices=("analytic", "empirical", "both"), default="analytic")
-    th.add_argument("--tol", type=float, default=1e-9)
+    th.add_argument("--tol", type=float, default=None, help="default: each search's own")
     th.add_argument("--n", type=int, default=10**5)
     th.add_argument("--trials", type=int, default=9)
     th.add_argument("--seed", type=int, default=0)

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PeelkitError
-from .hypergraph import component_labels
+from .hypergraph import component_labels, id_dtype
 from .models import ModelParams, mix_seed, sample_binomial_hypergraph
 from .peeling import graph_after_rounds, parallel_peel
 
 CSV_HEADER = "r,k,c,n,trial,seed,rounds,core_vertices,core_edges,max_component_after_I"
 CSV_FOOTER = "#done"
+_BLOCK = 1 << 14
 
 
 @dataclass
@@ -99,7 +100,14 @@ def run_trial(params: ModelParams, i_probe: int = 30) -> TrialRecord:
     core_vertices = int(np.count_nonzero(trace.vertex_round == 0))
     core_edges = int(np.count_nonzero(trace.edge_round == 0))
     surv_v, surv_e = graph_after_rounds(trace, i_probe)
-    probe_edges = h.edges[surv_e]
+    # Copied column by column into a column-major array, whose columns the
+    # labelling reads in place; the row ids go to intp one block at a time.
+    probe_edges = np.empty((surv_e.size, h.r), dtype=id_dtype(h.n), order="F")
+    for start in range(0, surv_e.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        rows = surv_e[block].astype(np.intp)
+        for j in range(h.r):
+            np.take(h.edges[:, j], rows, out=probe_edges[block, j], mode="clip")
     del h, trace, surv_e
     if surv_v.size == 0:
         max_comp = 0

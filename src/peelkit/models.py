@@ -99,10 +99,13 @@ def _edge_count(total: int, p: float, rng: np.random.Generator) -> int:
     while True:
         expected = (size - pos) * p
         batch = int(expected + 8 * math.sqrt(expected)) + 64
+        ends = rng.random(batch)  # the gaps and their running sum, in place
         with np.errstate(over="ignore"):  # an infinite gap ends the count
-            steps = np.floor(np.log1p(-rng.random(batch)) / log1mp) + 1.0
-            steps[0] += pos
-            ends = np.cumsum(steps)
+            np.log1p(np.negative(ends, out=ends), out=ends)
+            np.floor(np.divide(ends, log1mp, out=ends), out=ends)
+            ends += 1.0
+            ends[0] += pos
+            np.cumsum(ends, out=ends)
         fit = int(np.searchsorted(ends, size, side="right"))
         count += fit
         if fit < batch:
@@ -129,28 +132,47 @@ def _random_subsets(n: int, r: int, size: int, rng: np.random.Generator) -> list
     return cols
 
 
-def _order_by_largest(last: np.ndarray, n: int) -> np.ndarray:
-    """Stable argsort of `last` (ties keep their order).
+def _edges_by_largest(cols: list, n: int) -> np.ndarray:
+    """The rows of `cols`, which it consumes, as a column-major (m, r) array
+    at `id_dtype(n)`, stably ordered by the last column (ties keep their
+    order).
 
-    LSD radix passes over the bits of `last`; each pass is one int64 sort of
-    (digit << position bits) | position, several times faster than a stable
-    argsort.  One pass covers the whole value whenever n * m < 2^63.
+    LSD radix passes over the bits of the last column; each pass is one int64
+    sort of (digit << position bits) | position, several times faster than a
+    stable argsort.  One pass covers the whole column whenever n * m < 2^63,
+    and then the high bits of the sorted key are the sorted column itself.
+    The edge array is allocated only after the first sort.
     """
-    m = last.size
+    r, m = len(cols), cols[0].size
     pos_bits = m.bit_length()
     digit_bits = 63 - pos_bits
-    position = np.arange(m)
-    order = position
-    for shift in range(0, (n - 1).bit_length(), digit_bits):
-        packed = last[order].astype(np.int64, copy=False)
-        packed >>= shift
+    passes = range(0, (n - 1).bit_length(), digit_bits)
+    last = cols.pop()
+    packed = last.astype(np.int64)
+    last = last if len(passes) > 1 else None  # else the sorted key holds it
+    order = None
+    for shift in passes:
+        if order is not None:
+            packed = last[order].astype(np.int64, copy=False)
+            packed >>= shift
         packed &= (1 << digit_bits) - 1
         packed <<= pos_bits
-        packed |= position
+        for start in range(0, m, 1 << 16):  # no full-length arange
+            stop = min(start + (1 << 16), m)
+            packed[start:stop] |= np.arange(start, stop)
         packed.sort()
+        if order is None:
+            edges = np.empty((m, r), dtype=id_dtype(n), order="F")
+        if last is None:
+            np.right_shift(packed, pos_bits, out=edges[:, -1], casting="unsafe")
         packed &= (1 << pos_bits) - 1
-        order = order[packed]
-    return order
+        order = packed if order is None else order[packed]
+    if last is not None:
+        edges[:, -1] = last[order]
+    for j, col in enumerate(cols):
+        # mode="clip" writes into `out` directly; "raise" would buffer it
+        np.take(col, order, out=edges[:, j], mode="clip")
+    return edges
 
 
 def sample_binomial_hypergraph(params: ModelParams) -> Hypergraph:
@@ -188,8 +210,4 @@ def sample_binomial_hypergraph(params: ModelParams) -> Hypergraph:
     # ids are in [0, n), so narrowing to id width cannot wrap
     for j in range(r):
         cols[j] = cols[j].astype(id_dtype(n))
-    order = _order_by_largest(cols[-1], n)
-    edges = np.empty((m, r), dtype=id_dtype(n), order="F")
-    for j, col in enumerate(cols):
-        edges[:, j] = col[order]
-    return Hypergraph(r=r, n=n, edges=edges)
+    return Hypergraph(r=r, n=n, edges=_edges_by_largest(cols, n))

@@ -26,7 +26,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # An instance is supercritical when its median core holds over this share
 # of the n vertices.
 _CORE_FRAC = 0.01
-# Relative bracket width of the empirical threshold in threshold_report.
+# Relative bracket width of the empirical threshold by default.
 _EMPIRICAL_TOL = 0.02
 
 
@@ -76,6 +76,56 @@ def poisson_tail(x: float, j: int) -> float:
             total += term
             break
     return total
+
+
+def round_recurrence(
+    r: int, k: int, c: float, rounds: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, sigma): arrays over rounds i = 0..rounds of the branching-process
+    recurrence of the parallel peel on H_r(n, c/n^(r-1)).
+
+    rho_0 = 1, x_i = lam * rho_{i-1}^(r-1) with lam = c/(r-1)!, rho_i =
+    P(Po(x_i) >= k-1) and sigma_i = P(Po(x_i) >= k) (sigma_0 = 1).  sigma_i
+    is the expected share of vertices alive after round i.
+    """
+    if r < 2 or k < 2 or rounds < 0 or not c >= 0:  # NaN too
+        raise PeelkitError(
+            f"need r, k >= 2, c >= 0 and rounds >= 0, got r={r} k={k} c={c} "
+            f"rounds={rounds}"
+        )
+    lam = c / math.factorial(r - 1)
+    rho, sigma = np.ones(rounds + 1), np.ones(rounds + 1)
+    for i in range(1, rounds + 1):
+        x = lam * rho[i - 1] ** (r - 1)
+        rho[i], sigma[i] = poisson_tail(x, k - 1), poisson_tail(x, k)
+    return rho, sigma
+
+
+def approach_rate(r: int, k: int, c: float) -> tuple[float, float, float]:
+    """(rho*, sigma*, mu) for c above the threshold: the recurrence's largest
+    fixed point, the core share sigma* it gives, and mu, the map's slope
+    P(Po(x*) = k-2) * lam * (r-1) * rho*^(r-2) there, by which the excess
+    survivors shrink per round.
+
+    The fixed point's x* is the largest root of threshold_objective(x) = lam;
+    the objective rises past its minimum and exceeds x, so the root lies in
+    [x_star, lam] and is found by bisection.
+    """
+    x_lo, _, c_hat = compute_threshold_analytic(r, k)
+    if not c > c_hat:  # NaN too
+        raise PeelkitError(f"no core: c = {c} is not above c_hat = {c_hat:.6g}")
+    lam = c / math.factorial(r - 1)
+    x_hi = lam
+    while x_lo < 0.5 * (x_lo + x_hi) < x_hi:
+        mid = 0.5 * (x_lo + x_hi)
+        if threshold_objective(mid, r, k) < lam:
+            x_lo = mid
+        else:
+            x_hi = mid
+    x = x_hi
+    rho = poisson_tail(x, k - 1)
+    pmf = math.exp(-x + (k - 2) * math.log(x) - math.lgamma(k - 1))
+    return rho, poisson_tail(x, k), pmf * lam * (r - 1) * rho ** (r - 2)
 
 
 def threshold_objective(x: float, r: int, k: int) -> float:
@@ -164,7 +214,7 @@ def compute_threshold_empirical(
     k: int,
     n: int = 10**5,
     trials: int = 9,
-    tol: float = 0.02,
+    tol: float = _EMPIRICAL_TOL,
     seed: int = 0,
     c_lo: float = 0.25,
     c_hi: float | None = None,
@@ -202,22 +252,27 @@ def threshold_report(
     r: int,
     k: int,
     method: str = "both",
-    tol: float = 1e-9,
+    tol: float | None = None,
     n: int = 10**5,
     trials: int = 9,
     seed: int = 0,
 ) -> ThresholdResult:
     """Bundle analytic and/or empirical thresholds plus the growth
-    coefficients into one result."""
+    coefficients into one result.
+
+    A `tol` that is given reaches every search that runs; None leaves each
+    search its own default (1e-9 analytic, _EMPIRICAL_TOL empirical).
+    """
     res = ThresholdResult(r=r, k=k)
     res.a, res.a_star = coefficients(r, k)
+    given = {} if tol is None else {"tol": tol}
     if method in ("analytic", "both"):
         res.x_star, res.lambda_star, res.c_analytic = compute_threshold_analytic(
-            r, k, tol
+            r, k, **given
         )
     if method in ("empirical", "both"):
         res.c_empirical, res.c_empirical_interval = compute_threshold_empirical(
-            r, k, n=n, trials=trials, tol=_EMPIRICAL_TOL, seed=seed
+            r, k, n=n, trials=trials, seed=seed, **given
         )
     if res.c_analytic is not None and res.c_empirical is not None:
         res.mapping_validated = (

@@ -77,6 +77,7 @@ class TestThreshold:
     @pytest.mark.parametrize("argv, fault", [
         (["--tol", "0"], "tol must be > 0, got 0.0"),
         (["--method", "empirical", "--trials", "0"], "trials must be >= 1, got 0"),
+        (["--method", "empirical", "--tol", "0"], "tol must be > 0, got 0.0"),
     ])
     def test_bad_argument_exits_2(self, capsys, argv, fault):
         assert cli.main(["threshold", "--r", "3", "--k", "2", *argv]) == 2

@@ -4,9 +4,11 @@ edge-count moments (also where C(n, r) >= 2^64), p = 0 and p = 1, row and
 order invariants, determinism, exact duplicate detection under key
 collisions, and seed mixing."""
 
+import hashlib
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,11 +19,13 @@ from scipy import stats
 from peelkit import (
     ModelParams,
     PeelkitError,
+    compute_threshold_analytic,
     mix_seed,
     sample_binomial_hypergraph,
 )
 from peelkit.hypergraph import _first_distinct
-from peelkit.models import _order_by_largest
+from peelkit.hypergraph import id_dtype
+from peelkit.models import _edges_by_largest
 
 
 class TestModelParams:
@@ -177,6 +181,49 @@ def test_sampled_edges_at_id_width(n, width):
     assert h.edges.max() >= 2**30
 
 
+@pytest.mark.parametrize(
+    "r, n, c, seed, m, width, digest",
+    [
+        # the instance of the CI pin
+        (3, 4096, 6.0, 1, 4103, np.int32,
+         "ef817b36de6fae16ccb0fc266180b872670ce4414064c5c4c2e52fa6488dc5b8"),
+        (4, 3000, 2.0, 5, 259, np.int32,
+         "aeacba01d2988fc4cf1188806c4b501708cf87976c520ba4dcd5e067da46999c"),
+        # p = 0.9: repeat draws and more than one batch
+        (3, 12, 129.6, 5, 200, np.int32,
+         "727ca27344fd02ce11e8b26d0f53d010e005b467d3d4b630c4520356e69e834a"),
+        # int64 ids
+        (2, 2**31 - 1, 2.0**-26, 3, 21, np.int64,
+         "80c7c9674371716019a042f4341bb06f6cbfaf1d97075ebacf3c0475efe6cbb6"),
+        # bits(n - 1) + bits(m) = 62 + 7 > 63: several radix passes
+        (2, 2**62, 2.0**-55, 3, 68, np.int64,
+         "f22b06bc823e20a44672dd1df4de8cec318662773a7a547bae7da3ac98a7cf07"),
+    ],
+)
+def test_sampled_edges_are_pinned(r, n, c, seed, m, width, digest):
+    # the seed -> edges mapping of version 0.2.0, byte for byte
+    e = sample_binomial_hypergraph(ModelParams(r=r, n=n, c=c, seed=seed)).edges
+    assert e.shape == (m, r) and e.dtype == width and e.flags.f_contiguous
+    assert hashlib.sha256(e.tobytes(order="F")).hexdigest() == digest
+
+
+def test_sampler_memory_budget():
+    # Peak numpy allocation of the sampler alone, per sampled edge.  An
+    # identity gather, a full-length arange and a second copy of the edges
+    # took it to about 36 B/edge with numpy 2.4.  With one packed sort written
+    # straight into the column-major edges, the peak is the duplicate check
+    # on the int64 draws: about 33.
+    c = 1.25 * compute_threshold_analytic(3, 2)[2]
+    params = ModelParams(r=3, n=2**18, c=c, seed=17)
+    tracemalloc.start()
+    try:
+        m = sample_binomial_hypergraph(params).m
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / m < 34, f"{peak / m:.1f} B per sampled edge"
+
+
 class TestSamplerHelpers:
     def test_first_distinct_exact_under_key_collisions(self):
         # n = 2^32, r = 3: the key c0 + c1*n + c2*n^2 wraps mod 2^64, so rows
@@ -191,14 +238,16 @@ class TestSamplerHelpers:
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(2, 2**62),
-        st.lists(st.integers(0, 2**62), max_size=40),
+        st.lists(st.tuples(*[st.integers(0, 2**62)] * 3), max_size=40),
     )
-    def test_order_by_largest_is_a_stable_argsort(self, n, values):
+    def test_edges_by_largest_is_a_stable_sort_by_the_last_column(self, n, rows):
         # large n forces several radix passes
-        last = np.array([v % n for v in values], dtype=np.int64)
-        assert _order_by_largest(last, n).tolist() == np.argsort(
-            last, kind="stable"
-        ).tolist()
+        rows = np.array([[v % n for v in row] for row in rows], dtype=np.int64)
+        rows = rows.reshape(-1, 3).astype(id_dtype(n))
+        edges = _edges_by_largest([rows[:, j].copy() for j in range(3)], n)
+        assert edges.dtype == id_dtype(n) and edges.flags.f_contiguous
+        expected = rows[np.argsort(rows[:, -1], kind="stable")]
+        assert edges.tolist() == expected.tolist()
 
 
 class TestSeedMixing:

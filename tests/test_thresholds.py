@@ -12,10 +12,12 @@ from scipy import optimize, stats
 from peelkit import (
     BracketError,
     PeelkitError,
+    approach_rate,
     coefficients,
     compute_threshold_analytic,
     compute_threshold_empirical,
     poisson_tail,
+    round_recurrence,
     threshold_objective,
     threshold_report,
 )
@@ -127,6 +129,57 @@ class TestAnalytic:
         assert x_fine == pytest.approx(compute_threshold_analytic(3, 2, tol=1e-12)[0], abs=1e-9)
 
 
+class TestRecurrence:
+    # sigma* and mu at 1.25 c_hat, from a direct iteration of the recurrence
+    TABLE = [
+        (3, 2, 0.74240, 0.4025),
+        (2, 3, 0.71509, 0.3823),
+        (4, 2, 0.86752, 0.3191),
+        (3, 3, 0.91309, 0.2500),
+    ]
+
+    @pytest.mark.parametrize("r, k, sigma_star, mu", TABLE)
+    def test_approach_rate_at_1_25_c_hat(self, r, k, sigma_star, mu):
+        c = 1.25 * compute_threshold_analytic(r, k)[2]
+        rho, sigma, slope = approach_rate(r, k, c)
+        assert round(sigma, 5) == sigma_star
+        assert round(slope, 4) == mu
+        # the fixed point is where round_recurrence settles
+        rhos, sigmas = round_recurrence(r, k, c, 200)
+        assert rhos[-1] == pytest.approx(rho, abs=1e-12)
+        assert sigmas[-1] == pytest.approx(sigma, abs=1e-12)
+        x = c / math.factorial(r - 1) * rho ** (r - 1)
+        assert rho == pytest.approx(poisson_tail(x, k - 1), abs=1e-12)
+
+    @pytest.mark.parametrize("r, k", [(r, k) for r, k, _, _ in TABLE])
+    def test_sigma_falls_to_zero_below_c_hat(self, r, k):
+        c = 0.8 * compute_threshold_analytic(r, k)[2]
+        rho, sigma = round_recurrence(r, k, c, 40)
+        assert rho.shape == sigma.shape == (41,)
+        assert rho[0] == sigma[0] == 1.0
+        assert (sigma <= rho).all()
+        live = sigma[sigma > 0]
+        assert (np.diff(live) < 0).all()
+        assert sigma[-1] == 0.0
+
+    def test_first_round_keeps_degree_k(self):
+        # after round 1 the vertices of Po(lam) degree >= k survive
+        rho, sigma = round_recurrence(3, 2, 6.0, 1)
+        assert sigma[1] == pytest.approx(1 - math.exp(-3.0) * 4.0)
+        assert rho[1] == pytest.approx(1 - math.exp(-3.0))
+
+    def test_no_core_at_or_below_c_hat_rejected(self):
+        c_hat = compute_threshold_analytic(3, 2)[2]
+        for c in (c_hat, 0.5 * c_hat, math.nan):
+            with pytest.raises(PeelkitError, match="not above c_hat"):
+                approach_rate(3, 2, c)
+
+    def test_bad_arguments_rejected(self):
+        for args in ((1, 2, 1.0, 3), (3, 1, 1.0, 3), (3, 2, -1.0, 3), (3, 2, 1.0, -1)):
+            with pytest.raises(PeelkitError):
+                round_recurrence(*args)
+
+
 class TestCoefficients:
     def test_r3_k2(self):
         a, a_star = coefficients(3, 2)
@@ -176,6 +229,16 @@ class TestEmpirical:
         )
         assert lo < c < hi
         assert abs(c - 3.3509) < 0.12 * 3.3509
+
+    def test_report_passes_tol_to_the_empirical_search(self):
+        res = threshold_report(
+            2, 3, method="empirical", tol=0.1, n=2000, trials=3, seed=1
+        )
+        lo, hi = res.c_empirical_interval
+        assert lo < res.c_empirical < hi
+        assert hi - lo <= 0.1 * res.c_empirical
+        # the default bracket (0.02) is narrower than the one asked for
+        assert hi - lo > 0.02 * res.c_empirical
 
     def test_report_bundle(self):
         res = threshold_report(3, 2, method="analytic")
