@@ -56,6 +56,7 @@ from .thresholds import (
     compute_threshold_analytic,
     compute_threshold_empirical,
     poisson_tail,
+    predicted_rounds,
     round_recurrence,
     threshold_objective,
     threshold_report,

@@ -87,9 +87,10 @@ class FitResult:
 def run_trial(params: ModelParams, i_probe: int = 30) -> TrialRecord:
     """Sample one instance, peel it, and measure the trace.
 
-    The sampled graph and the trace are released before the probe's
-    component labelling, so only one graph-sized working set is alive at a
-    time: the probe's edge rows and the labelling's kept copy of them.
+    The trace is released before the probe's rows are copied out of the
+    graph, and the graph before the probe's component labelling, so only one
+    graph-sized working set is alive at a time: the probe's edge rows and the
+    labelling's kept copy of them.
     """
     if params.k is None:
         raise PeelkitError("params.k is required for a trial")
@@ -100,6 +101,7 @@ def run_trial(params: ModelParams, i_probe: int = 30) -> TrialRecord:
     core_vertices = int(np.count_nonzero(trace.vertex_round == 0))
     core_edges = int(np.count_nonzero(trace.edge_round == 0))
     surv_v, surv_e = graph_after_rounds(trace, i_probe)
+    del trace
     # Copied column by column into a column-major array, whose columns the
     # labelling reads in place; the row ids go to intp one block at a time.
     probe_edges = np.empty((surv_e.size, h.r), dtype=id_dtype(h.n), order="F")
@@ -108,7 +110,7 @@ def run_trial(params: ModelParams, i_probe: int = 30) -> TrialRecord:
         rows = surv_e[block].astype(np.intp)
         for j in range(h.r):
             np.take(h.edges[:, j], rows, out=probe_edges[block, j], mode="clip")
-    del h, trace, surv_e
+    del h, surv_e
     if surv_v.size == 0:
         max_comp = 0
     else:

@@ -14,6 +14,7 @@ All logarithms are natural, both here and in the growth-law fits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,6 +127,33 @@ def approach_rate(r: int, k: int, c: float) -> tuple[float, float, float]:
     rho = poisson_tail(x, k - 1)
     pmf = math.exp(-x + (k - 2) * math.log(x) - math.lgamma(k - 1))
     return rho, poisson_tail(x, k), pmf * lam * (r - 1) * rho ** (r - 2)
+
+
+def predicted_rounds(r: int, k: int, c: float, n: int) -> tuple[float, np.ndarray]:
+    """(E[s], P(s > i) for i = 0, 1, ...): the round count s of the parallel
+    peel on H_r(n, c/n^(r-1)) below the threshold, with no fitted parameter.
+
+    s > i exactly when a vertex is alive after round i.  Once n * sigma_i is
+    O(1) the survivors are rare and apart, so their count is close to
+    Poisson(n * sigma_i): P(s > i) = 1 - exp(-n * sigma_i), and E[s] is the
+    sum of these terms.  The sum stops at the first term below the float
+    spacing of the terms before it; sigma_i falls doubly exponentially, so
+    no later term counts either.
+    """
+    c_hat = compute_threshold_analytic(r, k)[2]
+    if not c < c_hat:  # NaN too
+        raise PeelkitError(f"c = {c} is not below c_hat = {c_hat:.6g}")
+    if not 0 <= n <= sys.float_info.max:
+        raise PeelkitError(f"n must be in [0, {sys.float_info.max:g}], got {n}")
+    rounds = 16
+    while True:
+        _, sigma = round_recurrence(r, k, c, rounds)
+        tail = -np.expm1(-float(n) * sigma)
+        before = np.concatenate(([0.0], np.cumsum(tail)[:-1]))
+        stop = np.flatnonzero(tail < np.spacing(before))
+        if stop.size:
+            return float(before[stop[0]]), tail[: stop[0]]
+        rounds *= 2
 
 
 def threshold_objective(x: float, r: int, k: int) -> float:

@@ -3,12 +3,22 @@ reference writer byte for byte, and read_hg gives the hypergraph back, with
 comment and blank lines anywhere."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from peelkit import build_hypergraph, hypergraph, read_hg, write_hg
+from peelkit import (
+    ModelParams,
+    build_hypergraph,
+    compute_threshold_analytic,
+    hypergraph,
+    read_hg,
+    sample_binomial_hypergraph,
+    write_hg,
+)
 
 
 def reference_hg(h) -> bytes:
@@ -96,3 +106,48 @@ def test_write_spans_several_blocks(tmp_path):
     write_hg(h, path)
     assert path.read_bytes() == reference_hg(h)
     assert np.array_equal(read_hg(path).edges, h.edges)
+
+
+@pytest.mark.parametrize("n", [2**31 - 2, 2**62], ids=["int32", "int64"])
+def test_write_mixes_every_width_in_each_block(tmp_path, n):
+    # every decimal width from 1 digit to that of n - 1, zeros included, in
+    # each of two blocks, the second one partial
+    rng = np.random.default_rng(3)
+    top = len(str(n - 1))
+    count = 3 * hypergraph._WRITE_BLOCK_ROWS // 2
+    # ids of width w lie in [low[w], high[w])
+    low = np.array([0, 0] + [10 ** (w - 1) for w in range(2, top + 1)], dtype=np.int64)
+    high = np.array([0] + [min(10**w, n) for w in range(1, top + 1)], dtype=np.int64)
+    width = rng.integers(1, top + 1, size=(count, 3))
+    ids = rng.integers(low[width], high[width])
+    ids[::5, 0] = 0
+    ids.sort(axis=1)
+    ids = np.unique(ids[(ids[:, 0] < ids[:, 1]) & (ids[:, 1] < ids[:, 2])], axis=0)
+    rng.shuffle(ids)
+    h = build_hypergraph(3, n, ids)
+    assert h.edges.dtype == hypergraph.id_dtype(n)
+    assert h.m > hypergraph._WRITE_BLOCK_ROWS
+    for start in (0, hypergraph._WRITE_BLOCK_ROWS):
+        block = h.edges[start : start + hypergraph._WRITE_BLOCK_ROWS]
+        assert (block == 0).any()
+        widths = {len(str(x)) for x in np.unique(block).tolist()}
+        assert widths == set(range(1, top + 1))
+    path = tmp_path / "widths.hg"
+    write_hg(h, path)
+    assert path.read_bytes() == reference_hg(h)
+
+
+def test_write_memory_budget(tmp_path):
+    # Peak numpy allocation of write_hg at the size of the hg_roundtrip
+    # benchmark (r = 3, n = 2^20, 0.8 c_hat; m = 688,078): digit planes per block take about 1.9 MB, where
+    # formatting all (row, id, digit) triples of a block at once took 4.8 MB;
+    # formatting the whole edge array at once would take tens of MB.
+    c = 0.8 * compute_threshold_analytic(3, 2)[2]
+    h = sample_binomial_hypergraph(ModelParams(r=3, n=2**20, c=c, seed=2531))
+    tracemalloc.start()
+    try:
+        write_hg(h, tmp_path / "big.hg")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6, f"{peak / 1e6:.1f} MB"

@@ -17,6 +17,7 @@ from peelkit import (
     compute_threshold_analytic,
     compute_threshold_empirical,
     poisson_tail,
+    predicted_rounds,
     round_recurrence,
     threshold_objective,
     threshold_report,
@@ -178,6 +179,46 @@ class TestRecurrence:
         for args in ((1, 2, 1.0, 3), (3, 1, 1.0, 3), (3, 2, -1.0, 3), (3, 2, 1.0, -1)):
             with pytest.raises(PeelkitError):
                 round_recurrence(*args)
+
+
+class TestPredictedRounds:
+    # P(s > 10) at (3, 2), 0.8 c_hat: 1 - exp(-n * sigma_10) from
+    # round_recurrence, at n = 2^14 and 2^16..2^20
+    P10 = [(14, 0.038), (16, 0.142), (17, 0.264), (18, 0.458), (19, 0.706), (20, 0.914)]
+
+    @pytest.mark.parametrize("log2_n, p10", P10)
+    def test_tail_at_round_10(self, log2_n, p10):
+        c = 0.8 * compute_threshold_analytic(3, 2)[2]
+        mean, tail = predicted_rounds(3, 2, c, 2**log2_n)
+        assert round(tail[10], 3) == p10
+        assert (np.diff(tail) <= 0).all() and tail[-1] > 0
+        assert mean == pytest.approx(tail.sum(), abs=1e-12)
+
+    def test_mean_is_the_sum_of_the_recurrence_terms(self):
+        c = 0.8 * compute_threshold_analytic(3, 2)[2]
+        n = 2**20
+        mean, tail = predicted_rounds(3, 2, c, n)
+        assert round(mean, 3) == 10.914
+        sigma = round_recurrence(3, 2, c, tail.size + 5)[1]
+        terms = [-math.expm1(-n * x) for x in sigma]
+        assert tail.tolist() == pytest.approx(terms[: tail.size], rel=1e-12, abs=0)
+        # the first term left out no longer moves the sum
+        assert mean + terms[tail.size] == mean
+
+    def test_no_edges_takes_one_round(self):
+        mean, tail = predicted_rounds(3, 2, 0.0, 2**20)
+        assert mean == 1.0 and tail.tolist() == [1.0]
+
+    def test_at_or_above_c_hat_rejected(self):
+        c_hat = compute_threshold_analytic(3, 2)[2]
+        for c in (c_hat, 1.25 * c_hat, math.nan):
+            with pytest.raises(PeelkitError, match="not below c_hat"):
+                predicted_rounds(3, 2, c, 2**20)
+
+    def test_n_outside_float_range_rejected(self):
+        for n in (-1, 2**1024, math.nan):
+            with pytest.raises(PeelkitError, match="n must be in"):
+                predicted_rounds(3, 2, 1.0, n)
 
 
 class TestCoefficients:
