@@ -89,8 +89,9 @@ def run_trial(params: ModelParams, i_probe: int = 30) -> TrialRecord:
 
     The trace is released before the probe's rows are copied out of the
     graph, and the graph before the probe's component labelling, so only one
-    graph-sized working set is alive at a time: the probe's edge rows and the
-    labelling's kept copy of them.
+    graph-sized working set is alive at a time: the probe's edge rows, which
+    the labelling only reads.  The rows are released before the components
+    are counted.
     """
     if params.k is None:
         raise PeelkitError("params.k is required for a trial")
@@ -101,7 +102,8 @@ def run_trial(params: ModelParams, i_probe: int = 30) -> TrialRecord:
     core_vertices = int(np.count_nonzero(trace.vertex_round == 0))
     core_edges = int(np.count_nonzero(trace.edge_round == 0))
     surv_v, surv_e = graph_after_rounds(trace, i_probe)
-    del trace
+    probe_vertices = surv_v.size
+    del trace, surv_v
     # Copied column by column into a column-major array, whose columns the
     # labelling reads in place; the row ids go to intp one block at a time.
     probe_edges = np.empty((surv_e.size, h.r), dtype=id_dtype(h.n), order="F")
@@ -111,11 +113,14 @@ def run_trial(params: ModelParams, i_probe: int = 30) -> TrialRecord:
         for j in range(h.r):
             np.take(h.edges[:, j], rows, out=probe_edges[block, j], mode="clip")
     del h, surv_e
-    if surv_v.size == 0:
+    if probe_vertices == 0:
         max_comp = 0
     else:
         labels = component_labels(params.n, probe_edges)
-        max_comp = int(np.bincount(labels[surv_v]).max())
+        del probe_edges
+        # A vertex outside the probe has no probe edge, so it is a singleton,
+        # and the probe's largest component has at least one vertex.
+        max_comp = int(np.bincount(labels).max())
     return TrialRecord(
         n=params.n,
         trial_index=0,

@@ -9,6 +9,7 @@ reading a file and writing it back is byte-stable.
 
 from __future__ import annotations
 
+import contextlib
 import re
 import warnings
 from dataclasses import dataclass
@@ -21,10 +22,14 @@ from .errors import DuplicateEdgeError, EdgeArityError, PeelkitError, VertexRang
 # their keep masks take 0.8 MB; of 2^12 to 2^16 rows, 2^14 and 2^15 ran
 # fastest.
 _WRITE_BLOCK_ROWS = 1 << 14
+# Rows per _sort_rows block, so that its exchange buffer stays small.
+_SORT_ROWS = 1 << 16
 # Rows (and vertices) per component_labels block: its gathers, compares and
 # index casts stay in cache.
 _LABEL_ROWS = 1 << 15
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
+# Names that np.loadtxt opens through a decompressor.
+_COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
 
 
 def id_dtype(n: int) -> type:
@@ -104,14 +109,18 @@ def build_hypergraph(r: int, n: int, edges) -> Hypergraph:
 def _sort_rows(cols: list) -> None:
     """Sort each row of the equal-length columns `cols` ascending, in place,
     by an odd-even transposition network of column minima and maxima: r
-    alternating layers of compare-exchanges sort r entries."""
+    alternating layers of compare-exchanges sort r entries.  The network runs
+    block by block, so its exchange buffer is one block long."""
     r = len(cols)
-    lo = np.empty_like(cols[0])
-    for start in range(r):
-        for a in range(start % 2, r - 1, 2):
-            np.minimum(cols[a], cols[a + 1], out=lo)
-            np.maximum(cols[a], cols[a + 1], out=cols[a + 1])
-            cols[a][...] = lo
+    lo = np.empty(min(cols[0].size, _SORT_ROWS), dtype=cols[0].dtype)
+    for begin in range(0, cols[0].size, _SORT_ROWS):
+        block = [col[begin : begin + _SORT_ROWS] for col in cols]
+        out = lo[: block[0].size]
+        for start in range(r):
+            for a in range(start % 2, r - 1, 2):
+                np.minimum(block[a], block[a + 1], out=out)
+                np.maximum(block[a], block[a + 1], out=block[a + 1])
+                block[a][...] = out
 
 
 def _row_error(cls, arr: np.ndarray, row, template: str) -> PeelkitError:
@@ -193,37 +202,53 @@ def component_labels(n: int, edges: np.ndarray) -> np.ndarray:
     the smallest vertex of its component, at dtype `id_dtype(n)`.
 
     This is min-root hooking (Liu and Tarjan, SOSA 2019, after Shiloach and
-    Vishkin) on the rows themselves.  Every row end is a root when a pass
-    starts.  A pass hooks each end to its row's smallest end, jumps every
-    pointer to its root, then relabels the rows and drops those whose ends
-    all share one root.  Pointers only go down, so a component's smallest
+    Vishkin) on the rows themselves, which are only read.  One flag per row
+    marks it alive.  A pass gathers each alive row's roots block by block,
+    kills the row if they are all one root and hooks every one of them to
+    the row's smallest (`np.minimum.at`); then every pointer jumps to its
+    root.  A pointer set in a pass is backed by a row that stays alive, and
+    a row is killed only when its ends already point into one tree, so no
+    connection is lost.  Pointers only go down, so a component's smallest
     vertex is its root, and the pointers left are the labels.
     """
-    idx = id_dtype(n)
-    parent = np.arange(n, dtype=idx)
-    # the first pass reads the input in place; later ones its kept rows
+    parent = np.arange(n, dtype=id_dtype(n))
     cols = [edges[:, j] for j in range(edges.shape[1])]
-    kept = None
-    while cols[0].size:
-        _hook(parent, cols)
+    alive = np.ones(edges.shape[0], dtype=bool)
+    while alive.any():
+        _hook(parent, cols, alive)
         _jump(parent)
-        if kept is None:
-            kept = np.empty((len(cols), cols[0].size), dtype=idx)
-        cols = _relabel(parent, cols, kept)
     return parent
 
 
-def _hook(parent: np.ndarray, cols: list) -> None:
-    """parent[v] = min(parent[v], smallest end of each row with end v)."""
-    low = np.empty(min(cols[0].size, _LABEL_ROWS), dtype=parent.dtype)
-    for start in range(0, cols[0].size, _LABEL_ROWS):
-        block = [col[start : start + _LABEL_ROWS] for col in cols]
-        out = low[: block[0].size]
-        np.copyto(out, block[0], casting="unsafe")
-        for col in block[1:]:
-            np.minimum(out, col, out=out, casting="unsafe")
-        for col in block:
-            np.minimum.at(parent, col, out)
+def _hook(parent: np.ndarray, cols: list, alive: np.ndarray) -> None:
+    """One hooking pass over the alive rows: kill each row whose ends' roots
+    are all equal, and set parent[root] = min(parent[root], smallest root of
+    the row) for each root of every other row.
+
+    Every pointer points at a root when the pass starts, and only those roots
+    are ever re-pointed, so every gathered value is a root of the pass start.
+    """
+    size = min(alive.size, _LABEL_ROWS)
+    roots = np.empty((len(cols), size), dtype=parent.dtype)
+    lows = np.empty(size, dtype=parent.dtype)
+    same = np.empty(size, dtype=bool)
+    for start in range(0, alive.size, _LABEL_ROWS):
+        flags = alive[start : start + _LABEL_ROWS]
+        rows = np.flatnonzero(flags)
+        if rows.size == 0:
+            continue
+        block = roots[:, : rows.size]
+        for col, out in zip(cols, block):
+            np.take(parent, col[start : start + _LABEL_ROWS][rows], out=out)
+        one = same[: rows.size]
+        one[...] = True
+        for out in block[1:]:
+            one &= out == block[0]
+        flags[rows[one]] = False
+        low = lows[: rows.size]
+        np.minimum.reduce(block, axis=0, out=low)
+        for out in block:
+            np.minimum.at(parent, out, low)
 
 
 def _jump(parent: np.ndarray) -> None:
@@ -239,33 +264,6 @@ def _jump(parent: np.ndarray) -> None:
             if np.array_equal(out, block):
                 break
             block[...] = out
-
-
-def _relabel(parent: np.ndarray, cols: list, kept: np.ndarray) -> list:
-    """Replace each row end by its root and keep the rows whose ends do not
-    all share one root, written to the front of `kept`'s columns.  Rows only
-    move to the front, and a block is gathered before any of it is written,
-    so `cols` may be views of `kept`.  Returns the kept columns as views."""
-    size = min(cols[0].size, _LABEL_ROWS)
-    ends = np.empty((len(cols), size), dtype=parent.dtype)
-    split = np.empty(size, dtype=bool)
-    differs = np.empty(size, dtype=bool)
-    count = 0
-    for start in range(0, cols[0].size, _LABEL_ROWS):
-        size = min(cols[0].size - start, _LABEL_ROWS)
-        block = ends[:, :size]
-        for col, out in zip(cols, block):
-            np.take(parent, col[start : start + size], out=out)
-        keep = split[:size]
-        keep[...] = False
-        for out in block[1:]:
-            np.not_equal(block[0], out, out=differs[:size])
-            keep |= differs[:size]
-        rows = int(np.count_nonzero(keep))
-        for out, dest in zip(block, kept):
-            np.compress(keep, out, out=dest[count : count + rows])
-        count += rows
-    return list(kept[:, :count])
 
 
 def write_hg(h: Hypergraph, path) -> None:
@@ -333,13 +331,18 @@ def read_hg(path) -> Hypergraph:
                 "expected 'r n m' with r >= 2"
             )
     r, n, m = header
+    # numpy reads the edge lines faster from the path than from a handle, but
+    # it opens a path by its suffix, so a .gz name would be read as gzip
+    if str(path).endswith(_COMPRESSED_SUFFIXES):
+        source = open(path, encoding="utf-8")
+    else:
+        source = contextlib.nullcontext(path)
     try:
-        with warnings.catch_warnings():
+        with source as lines, warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             # numpy < 2 parsed "1.5" as 1 with a DeprecationWarning
             warnings.simplefilter("error", DeprecationWarning)
-            # from the path, numpy reads the edge lines faster than from `f`
-            arr = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2,
+            arr = np.loadtxt(lines, dtype=np.int64, comments="#", ndmin=2,
                              skiprows=lineno, encoding="utf-8")
     except (ValueError, DeprecationWarning):  # UnicodeDecodeError is one
         arr = None

@@ -114,20 +114,27 @@ def _edge_count(total: int, p: float, rng: np.random.Generator) -> int:
 
 
 def _random_subsets(n: int, r: int, size: int, rng: np.random.Generator) -> list:
-    """`size` i.i.d. uniform r-subsets of [0, n) as r columns, each row
-    ascending.
+    """`size` i.i.d. uniform r-subsets of [0, n) as r columns at
+    `id_dtype(n)`, each row ascending.
 
     Rows are drawn by Floyd's algorithm (for j = n-r .. n-1 take t uniform in
     [0, j], or j itself if t was taken), which never repeats a vertex, so no
-    row is rejected even when r is close to n.  An odd-even transposition
-    network of column minima and maxima then sorts each row.
+    row is rejected even when r is close to n.  Each column is drawn at int64
+    and copied into its id-width column as soon as it is complete, so one
+    int64 column is alive at a time.  The id-width column is allocated before
+    the draw it keeps, so that it, not the short-lived draw, takes the memory
+    a previous graph left free.  An odd-even transposition network of column
+    minima and maxima then sorts each row.
     """
     cols = []
     for j in range(n - r, n):
+        cols.append(np.empty(size, dtype=id_dtype(n)))
         t = rng.integers(0, j + 1, size=size)
-        for col in cols:
+        for col in cols[:-1]:
             np.copyto(t, j, where=t == col)
-        cols.append(t)
+        # ids are in [0, n), so narrowing to id width cannot wrap
+        np.copyto(cols[-1], t, casting="unsafe")
+        del t
     _sort_rows(cols)
     return cols
 
@@ -193,7 +200,7 @@ def sample_binomial_hypergraph(params: ModelParams) -> Hypergraph:
     rng = np.random.Generator(np.random.PCG64(params.seed))
     m = _edge_count(total, params.p, rng)
     size = float(total)
-    cols = [np.empty(0, dtype=np.int64)] * r
+    cols = [np.empty(0, dtype=id_dtype(n))] * r
     while cols[0].size < m:
         have = cols[0].size
         # Draws from `size` subsets, `size - have` unseen, that yield the
@@ -202,12 +209,9 @@ def sample_binomial_hypergraph(params: ModelParams) -> Hypergraph:
         draw = min(int(d + 4 * math.sqrt(d)) + 16, 2 * m)
         batch = _random_subsets(n, r, draw, rng)
         cols = [np.concatenate(pair) for pair in zip(cols, batch)] if have else batch
-        del batch  # else it keeps the full int64 draws alive to the end
+        del batch  # else it keeps the whole first batch alive to the end
         first = _first_distinct(cols, n)
         if first is not None:
             cols = [col[first] for col in cols]
         cols = [col[:m] for col in cols]
-    # ids are in [0, n), so narrowing to id width cannot wrap
-    for j in range(r):
-        cols[j] = cols[j].astype(id_dtype(n))
     return Hypergraph(r=r, n=n, edges=_edges_by_largest(cols, n))

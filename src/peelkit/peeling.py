@@ -122,13 +122,17 @@ def _cell_peel(h: Hypergraph, k: int) -> PeelingTrace:
     bits, but deg <= m < 2^30 keeps the cell below 2^63, and a cell in
     [2^32, 2^33) has degree exactly 1 and holds 2^32 plus the id of its one
     live edge.  deg < k_eff is cell < k_eff * 2^32 for k_eff <= 2, since a
-    vertex of degree 0 or 1 has an id sum below 2^30.
+    vertex of degree 0 or 1 has an id sum below 2^30.  A removed vertex's
+    cell is parked at minus its round, which as uint64 is above every live
+    cell, so the cells also hold the vertex rounds until the end.
     """
     n, m = h.n, h.m
     idx = id_dtype(max(n, m))
-    k_eff = min(k, m + 1)
-    bound = k_eff * _DEG_ONE
+    bound = np.uint64(min(k, m + 1) * _DEG_ONE)
     cols = [np.ascontiguousarray(h.edges[:, j]) for j in range(h.r)]
+    # The trace's array outlives the cells, so it is allocated first: it, not
+    # the cells, takes the memory a previous graph left free.
+    edge_round = np.zeros(m, dtype=idx)
     cell = np.zeros(n, dtype=np.int64)
     # one block of 2^32 + id at a time, so that no m-long int64 array is made
     for start in range(0, m, _GATHER_ROWS):
@@ -136,14 +140,12 @@ def _cell_peel(h: Hypergraph, k: int) -> PeelingTrace:
         val = np.arange(start + _DEG_ONE, stop + _DEG_ONE, dtype=np.int64)
         for col in cols:
             np.add.at(cell, col[start:stop], val)
-    vertex_round = np.zeros(n, dtype=idx)
-    edge_round = np.zeros(m, dtype=idx)
+    removable = cell.view(np.uint64)  # the same cells, parked ones above bound
 
-    ids = np.flatnonzero(cell < bound)  # may repeat a vertex after round 1
+    ids = np.flatnonzero(removable < bound)  # may repeat a vertex after round 1
     i = 0
     while ids.size:
         i += 1
-        vertex_round[ids] = i
         # The one live edge of each removed vertex of degree 1.  Both ends of
         # an edge may name it, so repeats are dropped after a sort
         # (np.unique costs 50-80x as much).
@@ -162,14 +164,17 @@ def _cell_peel(h: Hypergraph, k: int) -> PeelingTrace:
         eids += _DEG_ONE  # what each edge added to its vertices' cells
         for verts in touched:
             np.subtract.at(cell, verts, eids)
-        # Park removed vertices at the bound: all their edges went this
-        # round, so no later update can make them removable again.
-        cell[ids] = bound
+        # Park removed vertices at -i: all their edges went this round, so no
+        # later update reaches their cells.
+        cell[ids] = -i
         del ids, eids
         # Only a vertex whose degree just fell can have become removable.  A
-        # column at a time keeps the int64 gather of cells to 1/r of the
-        # touched entries, which kept the subcritical sweep's RSS down.
-        ids = np.concatenate([verts[cell[verts] < bound] for verts in touched])
+        # column at a time keeps the cell gather to 1/r of the touched
+        # entries, which kept the subcritical sweep's RSS down.
+        ids = np.concatenate([verts[removable[verts] < bound] for verts in touched])
+    np.negative(cell, out=cell)  # the round of each parked cell, < 0 in the core
+    np.maximum(cell, 0, out=cell)
+    vertex_round = cell.astype(idx)
     return PeelingTrace(k=k, vertex_round=vertex_round, edge_round=edge_round)
 
 

@@ -173,6 +173,30 @@ def test_criterion_4_subcritical_loglog_growth(sub_records):
     )
 
 
+def test_criterion_4_round_law(sub_config, sub_records):
+    # Next to 4(c): E[s] from the recurrence (predicted_rounds, no fitted
+    # parameter) against the same records, which climb a staircase that
+    # neither two-parameter fit follows.
+    ns = sorted({rec.n for rec in sub_records})
+    law = np.array([pk.predicted_rounds(R, K, sub_config.c, n)[0] for n in ns])
+    means = np.array([_mean_s(sub_records, n) for n in ns])
+    worst = float(np.abs(means - law).max())
+    rms = float(np.sqrt(np.mean((means - law) ** 2)))
+    fit_ll = pk.fit_growth(sub_records, "loglog")
+    fit_l = pk.fit_growth(sub_records, "log")
+    ok_dev = worst <= 1 / 3
+    ok_rms = rms <= min(fit_ll.residual_rms, fit_l.residual_rms)
+    _report(
+        4,
+        "subcritical rounds follow the recurrence's E[s]",
+        ok_dev and ok_rms,
+        f"max |mean s - E[s]| {worst:.3f} <= 1/3: "
+        f"{'ok' if ok_dev else 'VIOLATED'}; rms law {rms:.3f} <= fits "
+        f"(loglog {fit_ll.residual_rms:.3f}, log {fit_l.residual_rms:.3f}): "
+        f"{'ok' if ok_rms else 'VIOLATED'}",
+    )
+
+
 def test_criterion_5_supercritical_log_growth(super_records):
     t0 = time.time()
     fit = pk.fit_growth(super_records, "log", drop_smallest=2)

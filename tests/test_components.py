@@ -63,16 +63,28 @@ def edge_lists(draw):
 @example((0, np.empty((0, 3), dtype=np.int64)), 1)
 @example((7, np.empty((0, 2), dtype=np.int64)), 1)
 @example((6, np.array([[5, 4], [0, 5], [3, 2], [2, 1]])), 1)
+# a decreasing chain: each row's larger end was hooked by the row before
+@example((6, np.array([[4, 5], [3, 4], [2, 3], [1, 2], [0, 1]])), 1)
+# the copy of [1, 2] dies (both ends at root 1); then [0, 3] re-points 2,
+# hooked earlier in the pass, to 0, and the first [1, 2] joins 1 next pass
+@example((4, np.array([[2, 3], [1, 2], [1, 2], [0, 3]])), 1)
+# [0, 3, 6] re-points 2 to 0 after [1, 4, 2] hooked it to 1, so the next pass
+# finds that row's roots at 1, 1 and 0: it must stay alive and join them
+@example((7, np.array([[2, 3, 5], [1, 4, 2], [0, 3, 6]])), 1)
 def test_labels_match_union_find(case, block_rows):
-    """Also with blocks of a few rows and vertices, so that rows are
-    compacted across blocks and pointers jumped across blocks."""
+    """Also with blocks of a few rows and vertices, so that rows die across
+    blocks and pointers are jumped across blocks.  Row-major and
+    column-major rows give the same labels, and neither is written."""
     n, edges = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hypergraph, "_LABEL_ROWS", block_rows)
-        labels = component_labels(n, edges)
-    # each vertex labelled by the smallest vertex of its component
-    assert labels.dtype == id_dtype(n)
-    assert labels.tolist() == union_find_roots(n, edges.tolist())
+    expected = union_find_roots(n, edges.tolist())
+    for rows in (np.ascontiguousarray(edges), np.asfortranarray(edges)):
+        rows.flags.writeable = False
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hypergraph, "_LABEL_ROWS", block_rows)
+            labels = component_labels(n, rows)
+        # each vertex labelled by the smallest vertex of its component
+        assert labels.dtype == id_dtype(n)
+        assert labels.tolist() == expected
 
 
 def test_trial_probe_matches_union_find():
@@ -159,9 +171,10 @@ def test_star_on_largest_vertex_fast():
 def test_labelling_memory_per_probe_row():
     # Peak numpy allocation of component_labels alone, per row, on the probe
     # rows of one supercritical trial (n = 2^18, 216,502 rows).  Link arrays,
-    # two per row, took about 29.2 B/row; the rows relabelled block by block
-    # into one kept copy take about 21: 12 for the kept copy, 4.8 for the
-    # parent array that is returned as the labels, the rest block buffers.
+    # two per row, took about 29.2 B/row, and a kept, relabelled copy of the
+    # rows about 20.8.  With the rows only read and one alive flag per row it
+    # is about 12: 4.8 for the parent array that is returned as the labels,
+    # 1 for the flags, the rest block buffers.
     n = 2**18
     c = 1.25 * compute_threshold_analytic(3, 2)[2]
     h = sample_binomial_hypergraph(ModelParams(r=3, n=n, c=c, seed=17, k=2))
@@ -174,7 +187,7 @@ def test_labelling_memory_per_probe_row():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / len(rows) < 30, f"{peak / len(rows):.1f} B per probe row"
+    assert peak / len(rows) < 15, f"{peak / len(rows):.1f} B per probe row"
 
 
 def test_sweep_probe_runs_without_scipy(tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from peelkit import (
     ModelParams,
+    PeelkitError,
     build_hypergraph,
     compute_threshold_analytic,
     hypergraph,
@@ -95,6 +96,17 @@ def test_comments_and_blank_lines_are_skipped(tmp_path_factory, h, data):
     back = read_hg(path)
     assert (back.r, back.n) == (h.r, h.n)
     assert back.edges.tolist() == h.edges.tolist()
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".lzma", ".xz"])
+def test_plain_file_named_like_a_compressed_one(tmp_path, suffix):
+    # np.loadtxt opens a path with these suffixes through a decompressor
+    path = tmp_path / f"plain.hg{suffix}"
+    path.write_text("2 3 1\n0 1\n")
+    assert read_hg(path).edges.tolist() == [[0, 1]]
+    path.write_text("2 3 2\n0 1\n0 x\n")
+    with pytest.raises(PeelkitError, match="line 3: non-integer token"):
+        read_hg(path)
 
 
 def test_write_spans_several_blocks(tmp_path):

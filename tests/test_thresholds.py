@@ -163,6 +163,23 @@ class TestRecurrence:
         assert (np.diff(live) < 0).all()
         assert sigma[-1] == 0.0
 
+    @pytest.mark.parametrize("share", [0.5, 0.8])
+    @pytest.mark.parametrize("r, k", [(r, k) for r, k, _, _ in TABLE])
+    def test_log_sigma_ratio_tends_to_the_branching_factor(self, r, k, share):
+        # Below c_hat, ln sigma_(i+1) / ln sigma_i -> (r-1)(k-1): the doubly
+        # exponential fall behind the ln ln n / ln((r-1)(k-1)) law, not the
+        # k(r-1)/r of the a* law.  Over the last three ratios before sigma
+        # drops below float64 tiny, the gap shrinks at every step and ends
+        # within 2 %; its last values run from 1.997 at (3, 2), 0.5 c_hat to
+        # 3.933 at (3, 3), 0.8 c_hat.
+        c = share * compute_threshold_analytic(r, k)[2]
+        sigma = round_recurrence(r, k, c, 64)[1][1:]
+        logs = np.log(sigma[sigma >= np.finfo(np.float64).tiny])
+        assert 4 <= logs.size < sigma.size
+        gap = np.abs(logs[1:] / logs[:-1] - (r - 1) * (k - 1))[-3:]
+        assert (np.diff(gap) < 0).all()
+        assert gap[-1] <= 0.02 * (r - 1) * (k - 1)
+
     def test_first_round_keeps_degree_k(self):
         # after round 1 the vertices of Po(lam) degree >= k survive
         rho, sigma = round_recurrence(3, 2, 6.0, 1)
