@@ -81,11 +81,11 @@ def _cmd_verify(args) -> int:
     report = density.DensityReport(
         s=s, t=t, exact_count=exact, bound=bound, max_avg_degree=max_avg, witness=witness
     )
-    print(
-        json.dumps(
-            {"density": report.to_dict(), "contraction": contraction.to_dict()}
-        )
-    )
+    reports = {
+        "density": dataclasses.asdict(report),
+        "contraction": {"ok": contraction.ok, **dataclasses.asdict(contraction)},
+    }
+    print(json.dumps(reports, default=float))  # float() writes the Fractions
     return 0
 
 

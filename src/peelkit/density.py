@@ -31,52 +31,17 @@ class DensityReport:
     max_avg_degree: Fraction | None = None
     witness: tuple | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "t": self.t,
-            "exact_count": self.exact_count,
-            "bound": self.bound,
-            "max_avg_degree": float(self.max_avg_degree)
-            if self.max_avg_degree is not None
-            else None,
-            "witness": list(self.witness) if self.witness is not None else None,
-        }
-
-
-@dataclass
-class ContractionRound:
-    vertex_count_before: int
-    edge_count_before: int
-    deg_ge_k_count: int
-    rho: Fraction
-    survivor_count_after: int
-
 
 @dataclass
 class ContractionReport:
-    rounds: list = field(default_factory=list)
     violations: list = field(default_factory=list)
+    # one dict per round: vertex_count_before, edge_count_before,
+    # deg_ge_k_count, rho (a Fraction) and survivor_count_after
+    rounds: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": self.violations,
-            "rounds": [
-                {
-                    "vertex_count_before": r.vertex_count_before,
-                    "edge_count_before": r.edge_count_before,
-                    "deg_ge_k_count": r.deg_ge_k_count,
-                    "rho": float(r.rho),
-                    "survivor_count_after": r.survivor_count_after,
-                }
-                for r in self.rounds
-            ],
-        }
 
 
 def expected_count_bound(
@@ -90,6 +55,8 @@ def expected_count_bound(
     """
     if not 1 <= s <= n:
         raise PeelkitError(f"need 1 <= s <= n, got s={s}, n={n}")
+    if not c >= 0:  # NaN too
+        raise PeelkitError(f"c must be >= 0, got {c}")
     if t < 0:
         raise PeelkitError(f"need t >= 0, got {t}")
     p = c / density_scale(n, r)
@@ -239,14 +206,11 @@ def contraction_check(trace: PeelingTrace, r: int, k: int) -> ContractionReport:
     dgk_before = trace.initial_deg_ge_k
     for i, rec in enumerate(trace.rounds, 1):
         rho = Fraction(dgk_before, v_before) if v_before else Fraction(0)
-        row = ContractionRound(
-            vertex_count_before=v_before,
-            edge_count_before=e_before,
-            deg_ge_k_count=dgk_before,
-            rho=rho,
-            survivor_count_after=rec.surviving_vertex_count,
+        report.rounds.append(
+            dict(vertex_count_before=v_before, edge_count_before=e_before,
+                 deg_ge_k_count=dgk_before, rho=rho,
+                 survivor_count_after=rec.surviving_vertex_count)
         )
-        report.rounds.append(row)
         if k * dgk_before > r * e_before:
             report.violations.append(
                 f"round {i}: k*deg_ge_k = {k * dgk_before} > "

@@ -172,10 +172,7 @@ def _cell_peel(h: Hypergraph, k: int) -> PeelingTrace:
         # column at a time keeps the cell gather to 1/r of the touched
         # entries, which kept the subcritical sweep's RSS down.
         ids = np.concatenate([verts[removable[verts] < bound] for verts in touched])
-    np.negative(cell, out=cell)  # the round of each parked cell, < 0 in the core
-    np.maximum(cell, 0, out=cell)
-    vertex_round = cell.astype(idx)
-    return PeelingTrace(k=k, vertex_round=vertex_round, edge_round=edge_round)
+    return _parked_trace(k, cell, edge_round)
 
 
 def _scan_peel(h: Hypergraph, k: int) -> PeelingTrace:
@@ -183,31 +180,32 @@ def _scan_peel(h: Hypergraph, k: int) -> PeelingTrace:
 
     The live edges are read as r contiguous index columns, so a round is one
     blocked gather per column to find the edges it removes.  Degrees are
-    decremented at the removed edges' vertices only.  One state byte per
-    vertex marks it removed in this round (1) or in an earlier one (2).  OR-ed
-    over a row it is exactly 1 for an edge that goes now and has bit 2 set for
-    the row of an edge removed earlier, so no column is ever written.  The
-    first rounds gather from the columns of h.edges in place (views, as its
-    edges are column-major); the live rows are copied into private columns
-    only once dead rows are at least as many as live ones.
+    decremented at the removed edges' vertices only, and parked at minus the
+    round, as _cell_peel parks its cells.  One state byte per vertex marks it
+    removed in this round (1) or in an earlier one (2).  OR-ed over a row it
+    is exactly 1 for an edge that goes now and has bit 2 set for the row of
+    an edge removed earlier, so no column is ever written.  The first rounds
+    gather from the columns of h.edges in place (views, as its edges are
+    column-major); the live rows are copied into private columns only once
+    dead rows are at least as many as live ones.
     """
     n, m = h.n, h.m
     # int32 ids halve the memory traffic of every gather and compaction.
     idx = id_dtype(max(n, m))
     one = idx(1)  # a typed scalar keeps ufunc.at on its fast path
-    # No degree exceeds m, so deg < k is the test deg < min(k, m + 1).  The
-    # clamped value fits idx and marks removed vertices as never removable.
+    # No degree exceeds m, so deg < k is the test deg < min(k, m + 1), whose
+    # bound fits idx.
     k_eff = min(k, m + 1)
     # Read only: a copy is made only for a row-major h.edges.
     cols = [np.ascontiguousarray(h.edges[:, j]) for j in range(h.r)]
     deg = np.zeros(n, dtype=idx)
     for col in cols:
         np.add.at(deg, col, one)
+    removable = deg.view(f"u{deg.itemsize}")  # parked degrees above k_eff
     eids = None  # edge id of each row once compacted; the row itself before
     seen_buf = np.empty(m, dtype=np.uint8)
     tmp = np.empty(_GATHER_ROWS, dtype=np.uint8)
     dead = 0  # rows of removed edges still in cols
-    vertex_round = np.zeros(n, dtype=idx)
     edge_round = np.zeros(m, dtype=idx)
 
     state = np.zeros(n, dtype=np.uint8)
@@ -215,7 +213,6 @@ def _scan_peel(h: Hypergraph, k: int) -> PeelingTrace:
     i = 0
     while ids.size:
         i += 1
-        vertex_round[ids] = i
         state[ids] = 1
         seen = seen_buf[: cols[0].size]  # OR of the states in each row
         for start in range(0, seen.size, _GATHER_ROWS):
@@ -240,65 +237,54 @@ def _scan_peel(h: Hypergraph, k: int) -> PeelingTrace:
                 del col  # frees the last old column now, not next round
                 eids = _ids(keep) if eids is None else eids[keep]
                 dead = 0
-        # Park removed vertices at k_eff: all their edges went this round, so
-        # no later decrement can make them removable again.
-        deg[ids] = k_eff
+        # Park removed vertices at -i: all their edges went this round, so no
+        # later decrement reaches them.
+        deg[ids] = -i
         # Only a vertex whose degree just fell can have become removable.
-        ids = touched[deg[touched] < k_eff]
+        ids = touched[removable[touched] < k_eff]
+    return _parked_trace(k, deg, edge_round)
+
+
+def _parked_trace(k: int, parked: np.ndarray, edge_round: np.ndarray) -> PeelingTrace:
+    """The trace from a kernel's per-vertex array, which holds minus the round
+    of each removed vertex and a value >= 0 for each core vertex.  `parked` is
+    overwritten, and is vertex_round itself when it has edge_round's dtype."""
+    np.negative(parked, out=parked)
+    np.maximum(parked, 0, out=parked)
+    vertex_round = parked.astype(edge_round.dtype, copy=False)
     return PeelingTrace(k=k, vertex_round=vertex_round, edge_round=edge_round)
 
 
 def sequential_kcore(h: Hypergraph, k: int):
-    """k-core by repeatedly deleting one minimum-degree vertex while the
-    minimum degree is below k (bucket-queue schedule).
+    """k-core by deleting one vertex of degree < k at a time, from a worklist
+    seeded with those vertices; deleting one kills its live edges, and a
+    neighbour joins exactly when its degree falls to k - 1, the rule by which
+    parallel_peel picks a round's vertices.
 
     Returns (core_vertex_ids, core_edge_ids), both sorted ascending.  Serves
     as an order-independence oracle against parallel_peel.
     """
     if k < 1:
         raise PeelkitError(f"k must be >= 1, got {k}")
-    n, m = h.n, h.m
-    deg = [0] * n
-    inc = [[] for _ in range(n)]
+    deg = [0] * h.n
+    inc = [[] for _ in range(h.n)]
     edges = h.edges.tolist()
     for eid, e in enumerate(edges):
         for v in e:
             deg[v] += 1
             inc[v].append(eid)
-
-    maxdeg = max(deg, default=0)
-    buckets = [[] for _ in range(maxdeg + 1)]
-    for v in range(n):
-        buckets[min(deg[v], maxdeg)].append(v)
-
-    alive_v = [True] * n
-    alive_e = [True] * m
-    removed = 0
-    d = 0
-    while removed < n:
-        # Find the current minimum occupied bucket below k (lazy deletion).
-        while d <= maxdeg and not buckets[d]:
-            d += 1
-        if d > maxdeg:
-            break
-        v = buckets[d].pop()
-        if not alive_v[v] or deg[v] != d:
-            continue  # stale entry
-        if d >= k:
-            break
-        alive_v[v] = False
-        removed += 1
-        for eid in inc[v]:
-            if not alive_e[eid]:
-                continue
-            alive_e[eid] = False
-            for u in edges[eid]:
-                if u != v and alive_v[u]:
+    alive_e = [True] * h.m
+    work = [v for v in range(h.n) if deg[v] < k]
+    while work:
+        for eid in inc[work.pop()]:
+            if alive_e[eid]:
+                alive_e[eid] = False
+                for u in edges[eid]:
                     deg[u] -= 1
-                    buckets[deg[u]].append(u)
-                    if deg[u] < d:
-                        d = deg[u]
-    core_v = np.flatnonzero(np.array(alive_v, dtype=bool))
+                    if deg[u] == k - 1:
+                        work.append(u)
+    # A deleted vertex fell below k and stays there; the others never did.
+    core_v = np.flatnonzero(np.array(deg, dtype=np.int64) >= k)
     core_e = np.flatnonzero(np.array(alive_e, dtype=bool))
     return core_v, core_e
 

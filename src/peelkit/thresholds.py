@@ -23,7 +23,6 @@ from .errors import BracketError, PeelkitError
 from .models import ModelParams, mix_seed, sample_binomial_hypergraph
 from .peeling import parallel_peel
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # An instance is supercritical when its median core holds over this share
 # of the n vertices.
 _CORE_FRAC = 0.01
@@ -112,20 +111,13 @@ def approach_rate(r: int, k: int, c: float) -> tuple[float, float, float]:
     the objective rises past its minimum and exceeds x, so the root lies in
     [x_star, lam] and is found by bisection.
     """
-    x_lo, _, c_hat = compute_threshold_analytic(r, k)
+    x_star, _, c_hat = compute_threshold_analytic(r, k)
     if not c > c_hat:  # NaN too
         raise PeelkitError(f"no core: c = {c} is not above c_hat = {c_hat:.6g}")
     lam = c / math.factorial(r - 1)
-    x_hi = lam
-    while x_lo < 0.5 * (x_lo + x_hi) < x_hi:
-        mid = 0.5 * (x_lo + x_hi)
-        if threshold_objective(mid, r, k) < lam:
-            x_lo = mid
-        else:
-            x_hi = mid
-    x = x_hi
+    x = _bisect(lambda x: threshold_objective(x, r, k) >= lam, x_star, lam, 0.0)
     rho = poisson_tail(x, k - 1)
-    pmf = math.exp(-x + (k - 2) * math.log(x) - math.lgamma(k - 1))
+    pmf = _poisson_pmf(x, k - 2)
     return rho, poisson_tail(x, k), pmf * lam * (r - 1) * rho ** (r - 2)
 
 
@@ -179,49 +171,49 @@ def coefficients(r: int, k: int) -> tuple[float, float]:
     return a, a_star
 
 
-def _golden_section(f, lo: float, hi: float, tol: float) -> float:
-    """Minimum of unimodal `f` on [lo, hi], refined to width `tol` or until
-    the bracket stops shrinking, when its width is down to float spacing."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    width = math.inf
-    while tol < b - a < width:
-        width = b - a
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
+def _poisson_pmf(x: float, j: int) -> float:
+    """P(Poisson(x) = j) for x > 0."""
+    return math.exp(-x + j * math.log(x) - math.lgamma(j + 1))
+
+
+def _bisect(above, lo: float, hi: float, tol: float) -> float:
+    """The point on [lo, hi] where `above` turns true, given false at lo and
+    true at hi: the upper end of the bracket once it is no wider than `tol`,
+    or once it stops shrinking, when its width is down to float spacing."""
+    while tol < hi - lo:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if above(mid):
+            hi = mid
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+            lo = mid
+    return hi
 
 
 def compute_threshold_analytic(r: int, k: int, tol: float = 1e-9):
     """Minimize the threshold objective: returns (x_star, lambda_star,
     c_analytic) with c_analytic = (r-1)! * lambda_star.
 
-    Bracket via a 1000-point log-spaced grid on (1e-3, 50], then refine with
-    golden-section to interval width `tol` (> 0), or to float spacing.
+    The objective x / rho(x)^(r-1), rho(x) = P(Po(x) >= k-1), falls and then
+    rises; x_star is where the sign of its derivative, that of rho(x) - (r-1)
+    * x * P(Po(x) = k-2), turns non-negative, found by bisection on [1e-3, 50]
+    to interval width `tol` (> 0), or to float spacing.
     """
     if r < 2 or k < 2 or (r, k) == (2, 2):
         raise PeelkitError(f"threshold undefined for r={r}, k={k}")
     if not tol > 0:  # NaN too
         raise PeelkitError(f"tol must be > 0, got {tol}")
-    grid = np.logspace(-3, math.log10(50.0), 1000)
-    vals = [threshold_objective(float(x), r, k) for x in grid]
-    i = int(np.argmin(vals))
-    if i == 0 or i == len(grid) - 1:
+
+    def rising(x: float) -> bool:
+        return poisson_tail(x, k - 1) - (r - 1) * x * _poisson_pmf(x, k - 2) >= 0
+
+    if rising(1e-3) or not rising(50.0):
         raise BracketError(
             f"no interior minimum of the threshold objective for r={r}, k={k} "
             "on (1e-3, 50]"
         )
-    x_star = _golden_section(
-        lambda x: threshold_objective(x, r, k), float(grid[i - 1]), float(grid[i + 1]), tol
-    )
+    x_star = _bisect(rising, 1e-3, 50.0, tol)
     lambda_star = threshold_objective(x_star, r, k)
     return x_star, lambda_star, math.factorial(r - 1) * lambda_star
 
@@ -291,6 +283,8 @@ def threshold_report(
     A `tol` that is given reaches every search that runs; None leaves each
     search its own default (1e-9 analytic, _EMPIRICAL_TOL empirical).
     """
+    if method not in ("analytic", "empirical", "both"):
+        raise PeelkitError(f"method must be analytic, empirical or both, got {method!r}")
     res = ThresholdResult(r=r, k=k)
     res.a, res.a_star = coefficients(r, k)
     given = {} if tol is None else {"tol": tol}

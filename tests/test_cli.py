@@ -177,6 +177,16 @@ class TestErrors:
             )
 
 
+    @pytest.mark.parametrize("c", ["-1", "nan"])
+    def test_bound_c_negative_or_nan_exits_2(self, tmp_path, capsys, c):
+        hg = tmp_path / "six.hg"
+        hg.write_text("3 6 3\n0 1 2\n1 2 3\n3 4 5\n")
+        assert cli.main(["verify", "--input", str(hg), "--k", "2", "--c", c]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"peelkit: error: c must be >= 0, got {float(c)}\n"
+
+
 class TestSweepFit:
     def test_pipeline(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

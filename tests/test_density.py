@@ -11,6 +11,7 @@ import pytest
 from peelkit import (
     BudgetExceededError,
     ModelParams,
+    PeelkitError,
     PeelingTrace,
     build_hypergraph,
     contraction_check,
@@ -50,6 +51,11 @@ class TestBound:
             expected_count_bound(10, 0, 1, 1.0, 2)
         with pytest.raises(Exception):
             expected_count_bound(10, 3, -1, 1.0, 2)
+
+    @pytest.mark.parametrize("c", [-1.0, math.nan])
+    def test_c_negative_or_nan_rejected(self, c):
+        with pytest.raises(PeelkitError, match="c must be >= 0"):
+            expected_count_bound(10, 3, 2, c, 2)
 
 
 class TestExactCount:
@@ -158,10 +164,10 @@ class TestContraction:
         assert report.ok
         assert len(report.rounds) == 2
         first = report.rounds[0]
-        assert first.vertex_count_before == 3
-        assert first.deg_ge_k_count == 1
-        assert first.rho == Fraction(1, 3)
-        assert first.survivor_count_after == 1
+        assert first["vertex_count_before"] == 3
+        assert first["deg_ge_k_count"] == 1
+        assert first["rho"] == Fraction(1, 3)
+        assert first["survivor_count_after"] == 1
 
     def test_empty_graph(self):
         report = contraction_check(parallel_peel(build_hypergraph(2, 0, []), 2), 2, 2)

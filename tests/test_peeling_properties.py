@@ -68,6 +68,8 @@ k_values = st.integers(1, 4)
 @example(build_hypergraph(2, 0, []), 1)
 @example(build_hypergraph(3, 5, []), 1)
 @example(build_hypergraph(3, 5, []), 2)
+# vertex 0 shares two edges with vertex 1, whose degree falls 3 -> 1 as 0 goes
+@example(build_hypergraph(3, 6, [(0, 1, 2), (0, 1, 3), (1, 4, 5)]), 3)
 def test_parallel_matches_sequential(h, k):
     trace = parallel_peel(h, k)
     core_v, core_e = sequential_kcore(h, k)
@@ -209,8 +211,9 @@ def test_peel_memory_above_the_edges():
 
 def test_scan_peel_memory_above_the_edges():
     # The same budget for the scan kernel, which every k >= 3 peel runs: its
-    # degrees, state bytes, live edge ids and the trace take about 33.5
-    # B/edge above h.edges.
+    # degrees, state bytes, live edge ids and the trace took about 33.5
+    # B/edge above h.edges; degrees that hold the vertex rounds until the
+    # end, with no vertex_round array during the rounds, take about 29.6.
     c = 1.25 * compute_threshold_analytic(3, 2)[2]
     h = sample_binomial_hypergraph(ModelParams(r=3, n=2**18, c=c, seed=17, k=3))
     tracemalloc.start()
@@ -219,7 +222,7 @@ def test_scan_peel_memory_above_the_edges():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / h.m < 40, f"{peak / h.m:.1f} B per edge above h.edges"
+    assert peak / h.m < 32, f"{peak / h.m:.1f} B per edge above h.edges"
 
 
 @settings_

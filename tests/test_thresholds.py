@@ -122,6 +122,18 @@ class TestAnalytic:
         with pytest.raises(PeelkitError, match="tol must be > 0"):
             compute_threshold_analytic(3, 2, tol=tol)
 
+    def test_c_hat_r3_k2_pinned(self):
+        # bench/ and the acceptance sweeps derive their c from this value
+        assert compute_threshold_analytic(3, 2)[2] == 4.910814964568256
+
+    @pytest.mark.parametrize(
+        "r, k", [(r, k) for r in range(2, 7) for k in range(2, 7) if (r, k) != (2, 2)]
+    )
+    def test_x_star_is_a_minimum(self, r, k):
+        x_star, lam, _ = compute_threshold_analytic(r, k)
+        for x in (x_star * (1 - 1e-6), x_star * (1 + 1e-6)):
+            assert threshold_objective(x, r, k) > lam
+
     def test_tol_below_float_spacing_returns(self):
         # the bracket stops shrinking at float spacing, long before 1e-20
         t0 = time.perf_counter()
@@ -297,6 +309,10 @@ class TestEmpirical:
         assert hi - lo <= 0.1 * res.c_empirical
         # the default bracket (0.02) is narrower than the one asked for
         assert hi - lo > 0.02 * res.c_empirical
+
+    def test_report_unknown_method_rejected(self):
+        with pytest.raises(PeelkitError, match="analytic, empirical or both"):
+            threshold_report(3, 2, method="analytc")
 
     def test_report_bundle(self):
         res = threshold_report(3, 2, method="analytic")
