@@ -7,7 +7,6 @@ oracles, and seeded experiment sweeps over n.
 
 from .density import (
     ContractionReport,
-    DensityReport,
     contraction_check,
     count_dense_subgraphs,
     expected_count_bound,

@@ -78,11 +78,9 @@ def _cmd_verify(args) -> int:
     witness, max_avg = density.max_density_subgraph_bruteforce(
         h, max_size, budget=args.budget
     )
-    report = density.DensityReport(
-        s=s, t=t, exact_count=exact, bound=bound, max_avg_degree=max_avg, witness=witness
-    )
     reports = {
-        "density": dataclasses.asdict(report),
+        "density": dict(s=s, t=t, exact_count=exact, bound=bound,
+                        max_avg_degree=max_avg, witness=witness),
         "contraction": {"ok": contraction.ok, **dataclasses.asdict(contraction)},
     }
     print(json.dumps(reports, default=float))  # float() writes the Fractions

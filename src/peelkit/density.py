@@ -23,16 +23,6 @@ DEFAULT_BUDGET = 10**8
 
 
 @dataclass
-class DensityReport:
-    s: int
-    t: int
-    exact_count: int
-    bound: float
-    max_avg_degree: Fraction | None = None
-    witness: tuple | None = None
-
-
-@dataclass
 class ContractionReport:
     violations: list = field(default_factory=list)
     # one dict per round: vertex_count_before, edge_count_before,
@@ -44,14 +34,12 @@ class ContractionReport:
         return not self.violations
 
 
-def expected_count_bound(
-    n: int, s: int, t: int, c: float, r: int, tight_edge_pool: bool = False
-) -> float:
-    """First-moment upper bound C(n,s) * C(pool,t) * p^t with p = c/n^(r-1).
+def expected_count_bound(n: int, s: int, t: int, c: float, r: int) -> float:
+    """First-moment upper bound C(n,s) * C(s^r,t) * p^t with p = c/n^(r-1).
 
-    The pool of possible edges inside s vertices is s^r as in the bound's
-    standard form; tight_edge_pool=True uses the true count C(s, r) instead.
-    Evaluated in log-space; may exceed 1 (it bounds an expectation).
+    The pool of possible edges inside s vertices is s^r, as in the bound's
+    standard form.  Evaluated in log-space; may exceed 1 (it bounds an
+    expectation).
     """
     if not 1 <= s <= n:
         raise PeelkitError(f"need 1 <= s <= n, got s={s}, n={n}")
@@ -62,7 +50,7 @@ def expected_count_bound(
     p = c / density_scale(n, r)
     if p > 1.0:
         raise PeelkitError(f"p = {p} exceeds 1")
-    pool = math.comb(s, r) if tight_edge_pool else s**r
+    pool = s**r
     if t > pool:
         return 0.0
     log_bound = _log_comb(n, s) + _log_comb(pool, t)
@@ -112,8 +100,6 @@ def count_dense_subgraphs(
         )
     if t <= 0:
         return total_subsets
-    if s == 0:
-        return 0
     by_max, suffix = _edges_by_max_vertex(h)
     chosen = [False] * h.n
     n = h.n
@@ -124,8 +110,6 @@ def count_dense_subgraphs(
             return 1 if ecount >= t else 0
         if ecount >= t:
             return math.comb(n - start, remaining)
-        if ecount + suffix[start] < t:
-            return 0
         total = 0
         for v in range(start, n - remaining + 1):
             if ecount + suffix[v] < t:

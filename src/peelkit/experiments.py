@@ -172,22 +172,29 @@ def write_sweep_csv(records: list[TrialRecord], config: SweepConfig, path) -> No
 
 
 def read_sweep_csv(path) -> list[TrialRecord]:
-    """Parse a sweep CSV; a missing '#done' footer marks a truncated file."""
+    """Parse a sweep CSV.  A missing '#done' footer marks a truncated file; a
+    row that is not 10 fields with decimal integers from n on raises a
+    PeelkitError naming its line."""
     records = []
     done = False
     with open(path) as f:
         header = f.readline().strip()
         if header != CSV_HEADER:
             raise PeelkitError(f"unexpected CSV header: {header!r}")
-        for line in f:
+        for lineno, line in enumerate(f, 2):
             line = line.strip()
             if not line:
                 continue
             if line == CSV_FOOTER:
                 done = True
                 break
+            fields = line.split(",")
             # columns n..max_component_after_I, in TrialRecord's field order
-            records.append(TrialRecord(*map(int, line.split(",")[3:10])))
+            if len(fields) != 10 or not all(v.isdecimal() for v in fields[3:]):
+                raise PeelkitError(
+                    f"{path} line {lineno}: not 10 fields with integers from n on: {line!r}"
+                )
+            records.append(TrialRecord(*map(int, fields[3:])))
     if not done:
         raise PeelkitError(f"{path}: missing '#done' footer (truncated sweep?)")
     return records

@@ -10,6 +10,7 @@ reading a file and writing it back is byte-stable.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import re
 import warnings
 from dataclasses import dataclass
@@ -64,11 +65,6 @@ class Hypergraph:
         # a view, not an r * m copy, for column-major edges
         flat = self.edges.ravel(order="K")
         return np.bincount(flat, minlength=self.n).astype(np.int64, copy=False)
-
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise VertexRangeError(f"vertex {v} not in [0, {self.n})")
-        return int(self.degrees()[v])
 
 
 def build_hypergraph(r: int, n: int, edges) -> Hypergraph:
@@ -310,26 +306,19 @@ def _decimal_lines(rows: np.ndarray) -> bytes:
 
 def read_hg(path) -> Hypergraph:
     """Read the text .hg format: an 'r n m' header, then one edge of r
-    decimal ids per line.  '#' starts a comment that runs to the end of the
-    line; blank lines are skipped.  Errors name the file line at fault."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            for lineno, line in enumerate(iter(f.readline, ""), 1):
-                header = _line_ints(line, f"{path} line {lineno}")
-                if header:
-                    break
-            else:
-                raise PeelkitError(f"{path}: empty .hg file")
-        except UnicodeDecodeError:
-            # decoded in chunks: the re-read names the line that is not UTF-8
-            for _ in _edge_lines(path, 0):
-                pass
-            raise
-        if len(header) != 3 or header[0] < 2:
-            raise PeelkitError(
-                f"{path} line {lineno}: bad .hg header {line.strip()!r}, "
-                "expected 'r n m' with r >= 2"
-            )
+    decimal ids per line.  A line ends at '\n', '\r\n' or '\r'; '#' starts a
+    comment that runs to the end of the line; blank lines are skipped.
+    Errors name the file line at fault."""
+    with contextlib.closing(_edge_lines(path, 0)) as lines:
+        lineno, line = next(lines, (None, None))
+    if line is None:
+        raise PeelkitError(f"{path}: empty .hg file")
+    header = _line_ints(line, f"{path} line {lineno}")
+    if len(header) != 3 or header[0] < 2:
+        raise PeelkitError(
+            f"{path} line {lineno}: bad .hg header {line.strip()!r}, "
+            "expected 'r n m' with r >= 2"
+        )
     r, n, m = header
     # numpy reads the edge lines faster from the path than from a handle, but
     # it opens a path by its suffix, so a .gz name would be read as gzip
@@ -360,30 +349,23 @@ def read_hg(path) -> Hypergraph:
         row = getattr(err, "row", None)
         if row is None:
             raise
-        where = f"{path} line {_row_line(path, lineno, row)}"
-        raise type(err)(f"{where}: {err}") from None
+        row_line = next(itertools.islice(_edge_lines(path, lineno), row, None))[0]
+        raise type(err)(f"{path} line {row_line}: {err}") from None
 
 
 def _edge_lines(path, header_line: int):
     """(lineno, line) of each edge line after the header; comment-only and
-    blank lines hold no edge.  Lines are decoded one by one, so a line that is
-    not UTF-8 raises a PeelkitError naming it.  Only error paths re-read."""
-    with open(path, "rb") as f:
-        for lineno, raw in enumerate(f, 1):
+    blank lines hold no edge.  Lines are split as np.loadtxt splits them, at
+    '\n', '\r\n' or '\r'; a line that is not UTF-8 raises a PeelkitError
+    naming it.  Only the header and the error paths read lines this way."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, 1):
             try:
-                line = raw.decode()
-            except UnicodeDecodeError:
+                line.encode()
+            except UnicodeEncodeError:  # an escaped byte that is not UTF-8
                 raise PeelkitError(f"{path} line {lineno}: not UTF-8") from None
             if lineno > header_line and line.split("#", 1)[0].strip():
                 yield lineno, line
-
-
-def _row_line(path, header_line: int, row: int) -> int:
-    """File line of edge row `row`."""
-    for seen, (lineno, _) in enumerate(_edge_lines(path, header_line)):
-        if seen == row:
-            return lineno
-    raise PeelkitError(f"{path}: no edge row {row}")
 
 
 def _line_ints(line: str, where: str) -> list[int]:

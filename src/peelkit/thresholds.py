@@ -49,8 +49,8 @@ def poisson_tail(x: float, j: int) -> float:
 
     Absolute error below 1e-12 for x <= 50, j <= 50.
     """
-    if x < 0:
-        raise PeelkitError(f"Poisson rate must be >= 0, got {x}")
+    if not 0 <= x < math.inf:  # NaN too
+        raise PeelkitError(f"Poisson rate must be finite and >= 0, got {x}")
     if j <= 0:
         return 1.0
     if x == 0.0:
@@ -88,9 +88,9 @@ def round_recurrence(
     P(Po(x_i) >= k-1) and sigma_i = P(Po(x_i) >= k) (sigma_0 = 1).  sigma_i
     is the expected share of vertices alive after round i.
     """
-    if r < 2 or k < 2 or rounds < 0 or not c >= 0:  # NaN too
+    if r < 2 or k < 2 or rounds < 0 or not 0 <= c < math.inf:  # NaN too
         raise PeelkitError(
-            f"need r, k >= 2, c >= 0 and rounds >= 0, got r={r} k={k} c={c} "
+            f"need r, k >= 2, 0 <= c < inf and rounds >= 0, got r={r} k={k} c={c} "
             f"rounds={rounds}"
         )
     lam = c / math.factorial(r - 1)
@@ -112,8 +112,8 @@ def approach_rate(r: int, k: int, c: float) -> tuple[float, float, float]:
     [x_star, lam] and is found by bisection.
     """
     x_star, _, c_hat = compute_threshold_analytic(r, k)
-    if not c > c_hat:  # NaN too
-        raise PeelkitError(f"no core: c = {c} is not above c_hat = {c_hat:.6g}")
+    if not c_hat < c < math.inf:  # NaN too
+        raise PeelkitError(f"no core: c = {c} is not above c_hat = {c_hat:.6g} and finite")
     lam = c / math.factorial(r - 1)
     x = _bisect(lambda x: threshold_objective(x, r, k) >= lam, x_star, lam, 0.0)
     rho = poisson_tail(x, k - 1)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from peelkit import cli, read_hg
+from peelkit.experiments import CSV_HEADER
 
 
 def run(capsys, *argv):
@@ -200,3 +201,14 @@ class TestSweepFit:
         assert set(fit) == {"model", "slope", "intercept", "residual_rms",
                             "correlation"}
         assert fit["model"] == "log"
+
+    def test_malformed_row_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        row = "3,2,6.0,256,0,5,x,0,0,3"  # rounds is not an integer
+        out.write_text(f"{CSV_HEADER}\n{row}\n#done\n")
+        assert cli.main(["fit", "--in", str(out), "--model", "log"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"peelkit: error: {out} line 2: not 10 fields with integers from n on: {row!r}\n"
+        )

@@ -38,13 +38,9 @@ class TestBound:
         # C(10,3) * C(9,2) * 0.1^2 = 120 * 36 * 0.01
         assert expected_count_bound(10, 3, 2, 1.0, 2) == pytest.approx(43.2)
 
-    def test_tight_pool_smaller(self):
-        loose = expected_count_bound(20, 5, 3, 1.0, 2)
-        tight = expected_count_bound(20, 5, 3, 1.0, 2, tight_edge_pool=True)
-        assert tight < loose
-
     def test_t_beyond_pool_is_zero(self):
-        assert expected_count_bound(10, 2, 2, 1.0, 2, tight_edge_pool=True) == 0.0
+        # the pool inside s = 2 vertices is s^r = 4 edges
+        assert expected_count_bound(10, 2, 5, 1.0, 2) == 0.0
 
     def test_domain_errors(self):
         with pytest.raises(Exception):

@@ -135,6 +135,24 @@ class TestSweep:
         with pytest.raises(PeelkitError):
             read_sweep_csv(tmp_path / "cut.csv")
 
+    @pytest.mark.parametrize("row", [
+        "3,2,6.0,256,1,7,x,0,0,3",
+        "3,2,6.0,256,1,7,4,0,0,2.5",
+        "3,2,6.0,256,1,7,4,-1,0,3",
+        "3,2,6.0,256,1",
+        "3,2,6.0,256,1,7,4,0,0,3,9",
+    ], ids=["rounds", "component", "negative", "short", "long"])
+    def test_malformed_row_names_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            f"{experiments.CSV_HEADER}\n3,2,6.0,256,0,5,4,0,0,3\n\n{row}\n#done\n"
+        )
+        with pytest.raises(PeelkitError) as err:
+            read_sweep_csv(path)
+        assert str(err.value) == (
+            f"{path} line 4: not 10 fields with integers from n on: {row!r}"
+        )
+
     def test_config_validation(self):
         with pytest.raises(PeelkitError):
             SweepConfig(r=2, k=2, c=1.0, n_min=5, n_max=100, points=3,

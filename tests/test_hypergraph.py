@@ -27,12 +27,12 @@ def triangle():
 class TestBuild:
     def test_triangle_degrees(self):
         h = triangle()
-        assert [h.degree(v) for v in range(3)] == [2, 2, 2]
+        assert h.degrees().tolist() == [2, 2, 2]
         assert h.m == 3
 
     def test_single_hyperedge(self):
         h = build_hypergraph(3, 3, [(0, 1, 2)])
-        assert [h.degree(v) for v in range(3)] == [1, 1, 1]
+        assert h.degrees().tolist() == [1, 1, 1]
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(DuplicateEdgeError):
@@ -121,7 +121,7 @@ class TestBuild:
     def test_empty(self):
         h = build_hypergraph(2, 4, [])
         assert h.m == 0
-        assert [h.degree(v) for v in range(4)] == [0] * 4
+        assert h.degrees().tolist() == [0] * 4
 
 
 class TestIdWidth:
@@ -148,13 +148,9 @@ class TestIdWidth:
 
 
 class TestDegrees:
-    def test_degree_out_of_range(self):
-        with pytest.raises(VertexRangeError):
-            triangle().degree(3)
-
     def test_isolated_vertex(self):
         h = build_hypergraph(2, 4, [(0, 1)])
-        assert h.degree(3) == 0
+        assert h.degrees()[3] == 0
 
     def test_degrees_in_either_layout(self):
         h = build_hypergraph(3, 6, [(0, 1, 2), (1, 2, 5), (0, 3, 4)])
@@ -182,10 +178,11 @@ class TestDegrees:
 
             pool = list(itertools.combinations(range(n), r))
             take = rng.random(len(pool)) < 0.3
-            h = build_hypergraph(r, n, [e for e, t in zip(pool, take) if t])
+            edges = [e for e, t in zip(pool, take) if t]
+            h = build_hypergraph(r, n, edges)
             degs = h.degrees()
             assert degs.sum() == r * h.m
-            assert all(h.degree(v) == degs[v] for v in range(n))
+            assert degs.tolist() == [sum(v in e for e in edges) for v in range(n)]
 
 
 class TestComponents:
@@ -308,4 +305,27 @@ class TestHgFormat:
         path = tmp_path / "bad.hg"
         path.write_bytes(data)
         with pytest.raises(PeelkitError, match=f"line {line}: not UTF-8$"):
+            read_hg(path)
+
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_line_ends_read_like_lf(self, tmp_path, end):
+        text = b"# c\n3 6 3\n0 1 2  # e\n\n1 2 5\n0 3 4\n"
+        (tmp_path / "lf.hg").write_bytes(text)
+        (tmp_path / "other.hg").write_bytes(text.replace(b"\n", end))
+        lf, other = read_hg(tmp_path / "lf.hg"), read_hg(tmp_path / "other.hg")
+        assert (other.r, other.n) == (lf.r, lf.n)
+        assert other.edges.tolist() == lf.edges.tolist()
+        assert lf.edges.tolist() == [[0, 1, 2], [1, 2, 5], [0, 3, 4]]
+
+    @pytest.mark.parametrize("data,error,fault", [
+        (b"2 3 2\r0 1\r0 x\r", PeelkitError, "line 3: non-integer token in '0 x'"),
+        (b"2 3 2\r0 1\r0 1 2\r", EdgeArityError, "line 3: 3 ids, expected r = 2"),
+        (b"2 3 2\r0 1\r\r0 3\r", VertexRangeError,
+         "line 4: edge \\(0, 3\\) has vertex outside"),
+        (b"2 3 2\r0 1\r# c\r0 \xff\r", PeelkitError, "line 4: not UTF-8$"),
+    ], ids=["token", "arity", "range", "utf8"])
+    def test_cr_only_bad_line_named(self, tmp_path, data, error, fault):
+        path = tmp_path / "bad.hg"
+        path.write_bytes(data)
+        with pytest.raises(error, match=fault):
             read_hg(path)

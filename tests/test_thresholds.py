@@ -61,6 +61,11 @@ class TestPoissonTail:
         with pytest.raises(PeelkitError):
             poisson_tail(-1.0, 2)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -1.0])
+    def test_rate_not_finite_and_non_negative_rejected(self, x):
+        with pytest.raises(PeelkitError, match=f"got {x}$"):
+            poisson_tail(x, 2)
+
 
 class TestObjective:
     def test_value_r2_k2(self):
@@ -208,6 +213,16 @@ class TestRecurrence:
         for args in ((1, 2, 1.0, 3), (3, 1, 1.0, 3), (3, 2, -1.0, 3), (3, 2, 1.0, -1)):
             with pytest.raises(PeelkitError):
                 round_recurrence(*args)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -1.0])
+    def test_recurrence_c_not_finite_and_non_negative_rejected(self, c):
+        with pytest.raises(PeelkitError, match=f"c={c} "):
+            round_recurrence(3, 2, c, 3)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -1.0])
+    def test_approach_rate_c_not_finite_and_above_c_hat_rejected(self, c):
+        with pytest.raises(PeelkitError, match=f"c = {c} is not above c_hat"):
+            approach_rate(3, 2, c)
 
 
 class TestPredictedRounds:
