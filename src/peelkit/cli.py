@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--points", type=int, required=True)
     sw.add_argument("--trials", type=int, required=True)
     sw.add_argument("--seed", type=int, required=True)
-    sw.add_argument("--i-probe", type=int, default=30, dest="i_probe")
+    sw.add_argument("--i-probe", type=int, default=experiments.SweepConfig.i_probe, dest="i_probe")
     sw.add_argument("--out", required=True)
     sw.set_defaults(func=_cmd_sweep)
 

@@ -187,7 +187,7 @@ def contraction_check(trace: PeelingTrace, r: int, k: int) -> ContractionReport:
     report = ContractionReport()
     v_before = trace.n
     e_before = trace.m
-    dgk_before = trace.initial_deg_ge_k
+    dgk_before = trace.rounds[0].surviving_vertex_count if trace.s else trace.n
     for i, rec in enumerate(trace.rounds, 1):
         rho = Fraction(dgk_before, v_before) if v_before else Fraction(0)
         report.rounds.append(

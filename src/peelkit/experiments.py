@@ -84,7 +84,7 @@ class FitResult:
     correlation: float
 
 
-def run_trial(params: ModelParams, i_probe: int = 30) -> TrialRecord:
+def run_trial(params: ModelParams, i_probe: int) -> TrialRecord:
     """Sample one instance, peel it, and measure the trace.
 
     The trace is released before the probe's rows are copied out of the
@@ -172,11 +172,14 @@ def write_sweep_csv(records: list[TrialRecord], config: SweepConfig, path) -> No
 
 
 def read_sweep_csv(path) -> list[TrialRecord]:
-    """Parse a sweep CSV.  A missing '#done' footer marks a truncated file; a
-    row that is not 10 fields with decimal integers from n on raises a
-    PeelkitError naming its line."""
+    """Parse a sweep CSV, which holds one sweep.  A missing '#done' footer
+    marks a truncated file.  A PeelkitError names the line of a row that is
+    not 10 fields with decimal integers from n on, a first row whose r or k is
+    not a decimal integer or whose c is not a float, a row whose r,k,c text
+    differs from the first row's, and a non-blank line after '#done'."""
     records = []
     done = False
+    first = None  # the first row's r,k,c text
     with open(path) as f:
         header = f.readline().strip()
         if header != CSV_HEADER:
@@ -185,19 +188,41 @@ def read_sweep_csv(path) -> list[TrialRecord]:
             line = line.strip()
             if not line:
                 continue
+            if done:
+                raise PeelkitError(f"{path} line {lineno}: line after '{CSV_FOOTER}': {line!r}")
             if line == CSV_FOOTER:
                 done = True
-                break
+                continue
             fields = line.split(",")
             # columns n..max_component_after_I, in TrialRecord's field order
             if len(fields) != 10 or not all(v.isdecimal() for v in fields[3:]):
                 raise PeelkitError(
                     f"{path} line {lineno}: not 10 fields with integers from n on: {line!r}"
                 )
+            rkc = ",".join(fields[:3])
+            if first is None:
+                first = rkc
+                if not (fields[0].isdecimal() and fields[1].isdecimal() and _is_float(fields[2])):
+                    raise PeelkitError(
+                        f"{path} line {lineno}: r and k must be integers and c a float: {line!r}"
+                    )
+            elif rkc != first:
+                raise PeelkitError(
+                    f"{path} line {lineno}: r,k,c {rkc!r} differ from the first row's "
+                    f"{first!r}; a CSV holds one sweep"
+                )
             records.append(TrialRecord(*map(int, fields[3:])))
     if not done:
         raise PeelkitError(f"{path}: missing '#done' footer (truncated sweep?)")
     return records
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _mean_s_by_n(records: list[TrialRecord]):
@@ -220,9 +245,10 @@ def fit_growth(
     """
     if model not in ("loglog", "log"):
         raise PeelkitError(f"unknown growth model {model!r}")
+    if drop_smallest < 0:
+        raise PeelkitError(f"drop_smallest must be >= 0, got {drop_smallest}")
     ns, means = _mean_s_by_n(records)
-    if drop_smallest:
-        ns, means = ns[drop_smallest:], means[drop_smallest:]
+    ns, means = ns[drop_smallest:], means[drop_smallest:]
     if ns.size < 3:
         raise PeelkitError(f"need >= 3 distinct n values, have {ns.size}")
     if model == "loglog":

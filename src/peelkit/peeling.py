@@ -45,7 +45,6 @@ class RoundRecord:
 
 @dataclass
 class PeelingTrace:
-    k: int
     vertex_round: np.ndarray  # round that removed each vertex; 0 = in the core
     edge_round: np.ndarray  # round that removed each edge; 0 = in the core
 
@@ -79,17 +78,12 @@ class PeelingTrace:
         ]
 
     @cached_property
-    def initial_deg_ge_k(self) -> int:
-        """Vertices of degree >= k before round 1."""
-        return self.rounds[0].surviving_vertex_count if self.s else self.n
-
-    @cached_property
     def core_vertices(self) -> np.ndarray:
-        return np.flatnonzero(self.vertex_round == 0)
+        return _ids(self.vertex_round == 0)
 
     @cached_property
     def core_edges(self) -> np.ndarray:
-        return np.flatnonzero(self.edge_round == 0)
+        return _ids(self.edge_round == 0)
 
 
 def parallel_peel(h: Hypergraph, k: int) -> PeelingTrace:
@@ -99,36 +93,39 @@ def parallel_peel(h: Hypergraph, k: int) -> PeelingTrace:
     Vertices of degree 0 (including initially isolated ones) are removed like
     any other vertex of degree < k.  Each round costs O(edges it removes) in
     its bookkeeping: only the removed edges' vertices are updated, and the
-    next round's vertices are the ones among those that fell below k.  For
-    k <= 2 a removed vertex has at most one live edge, which a per-vertex
-    (degree, edge-id sum) cell names directly, so a round costs O(edges it
-    removes) in all (`_cell_peel`).  For k >= 3, or m >= 2^30, each round
-    scans the live rows for the ones that touch a removed vertex
-    (`_scan_peel`).  Neither kernel writes h.edges.
+    next round's vertices are the ones among those that fell below k.  k is
+    clamped to m + 1 first.  For k <= 2 a removed vertex has at most one live
+    edge, which a per-vertex (degree, edge-id sum) cell names directly, so a
+    round costs O(edges it removes) in all (`_cell_peel`).  For k >= 3, or
+    m >= 2^30, each round scans the live rows for the ones that touch a
+    removed vertex (`_scan_peel`).  Neither kernel writes h.edges.
     """
     if k < 1:
         raise PeelkitError(f"k must be >= 1, got {k}")
-    if min(k, h.m + 1) <= 2 and h.m < _CELL_EDGES:
+    # No degree exceeds m, so a k above m + 1 removes what m + 1 does, and
+    # m + 1 fits either kernel's degree type.
+    k = min(k, h.m + 1)
+    if k <= 2 and h.m < _CELL_EDGES:
         return _cell_peel(h, k)
     return _scan_peel(h, k)
 
 
 def _cell_peel(h: Hypergraph, k: int) -> PeelingTrace:
-    """parallel_peel for min(k, m + 1) <= 2 and m < _CELL_EDGES.
+    """parallel_peel for k <= 2 and m < _CELL_EDGES.
 
     Each vertex keeps one int64 cell, deg * 2^32 + (sum of its live edge
     ids), as an invertible Bloom lookup table keeps a count and a key sum
     (Goodrich and Mitzenmacher, 2011).  The id sum may carry into the degree
     bits, but deg <= m < 2^30 keeps the cell below 2^63, and a cell in
     [2^32, 2^33) has degree exactly 1 and holds 2^32 plus the id of its one
-    live edge.  deg < k_eff is cell < k_eff * 2^32 for k_eff <= 2, since a
+    live edge.  deg < k is cell < k * 2^32 for k <= 2, since a
     vertex of degree 0 or 1 has an id sum below 2^30.  A removed vertex's
     cell is parked at minus its round, which as uint64 is above every live
     cell, so the cells also hold the vertex rounds until the end.
     """
     n, m = h.n, h.m
     idx = id_dtype(max(n, m))
-    bound = np.uint64(min(k, m + 1) * _DEG_ONE)
+    bound = np.uint64(k * _DEG_ONE)
     cols = [np.ascontiguousarray(h.edges[:, j]) for j in range(h.r)]
     # The trace's array outlives the cells, so it is allocated first: it, not
     # the cells, takes the memory a previous graph left free.
@@ -172,11 +169,11 @@ def _cell_peel(h: Hypergraph, k: int) -> PeelingTrace:
         # column at a time keeps the cell gather to 1/r of the touched
         # entries, which kept the subcritical sweep's RSS down.
         ids = np.concatenate([verts[removable[verts] < bound] for verts in touched])
-    return _parked_trace(k, cell, edge_round)
+    return _parked_trace(cell, edge_round)
 
 
 def _scan_peel(h: Hypergraph, k: int) -> PeelingTrace:
-    """parallel_peel for any k and m, by scanning the live rows each round.
+    """parallel_peel for k <= m + 1, by scanning the live rows each round.
 
     The live edges are read as r contiguous index columns, so a round is one
     blocked gather per column to find the edges it removes.  Degrees are
@@ -193,15 +190,12 @@ def _scan_peel(h: Hypergraph, k: int) -> PeelingTrace:
     # int32 ids halve the memory traffic of every gather and compaction.
     idx = id_dtype(max(n, m))
     one = idx(1)  # a typed scalar keeps ufunc.at on its fast path
-    # No degree exceeds m, so deg < k is the test deg < min(k, m + 1), whose
-    # bound fits idx.
-    k_eff = min(k, m + 1)
     # Read only: a copy is made only for a row-major h.edges.
     cols = [np.ascontiguousarray(h.edges[:, j]) for j in range(h.r)]
     deg = np.zeros(n, dtype=idx)
     for col in cols:
         np.add.at(deg, col, one)
-    removable = deg.view(f"u{deg.itemsize}")  # parked degrees above k_eff
+    removable = deg.view(f"u{deg.itemsize}")  # parked degrees above k
     eids = None  # edge id of each row once compacted; the row itself before
     seen_buf = np.empty(m, dtype=np.uint8)
     tmp = np.empty(_GATHER_ROWS, dtype=np.uint8)
@@ -209,7 +203,7 @@ def _scan_peel(h: Hypergraph, k: int) -> PeelingTrace:
     edge_round = np.zeros(m, dtype=idx)
 
     state = np.zeros(n, dtype=np.uint8)
-    ids = np.flatnonzero(deg < k_eff)  # may repeat a vertex after round 1
+    ids = np.flatnonzero(deg < k)  # may repeat a vertex after round 1
     i = 0
     while ids.size:
         i += 1
@@ -241,18 +235,18 @@ def _scan_peel(h: Hypergraph, k: int) -> PeelingTrace:
         # later decrement reaches them.
         deg[ids] = -i
         # Only a vertex whose degree just fell can have become removable.
-        ids = touched[removable[touched] < k_eff]
-    return _parked_trace(k, deg, edge_round)
+        ids = touched[removable[touched] < k]
+    return _parked_trace(deg, edge_round)
 
 
-def _parked_trace(k: int, parked: np.ndarray, edge_round: np.ndarray) -> PeelingTrace:
+def _parked_trace(parked: np.ndarray, edge_round: np.ndarray) -> PeelingTrace:
     """The trace from a kernel's per-vertex array, which holds minus the round
     of each removed vertex and a value >= 0 for each core vertex.  `parked` is
     overwritten, and is vertex_round itself when it has edge_round's dtype."""
     np.negative(parked, out=parked)
     np.maximum(parked, 0, out=parked)
     vertex_round = parked.astype(edge_round.dtype, copy=False)
-    return PeelingTrace(k=k, vertex_round=vertex_round, edge_round=edge_round)
+    return PeelingTrace(vertex_round, edge_round)
 
 
 def sequential_kcore(h: Hypergraph, k: int):

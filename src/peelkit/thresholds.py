@@ -64,8 +64,7 @@ def poisson_tail(x: float, j: int) -> float:
             cdf += term
         return 1.0 - cdf
     # Upper tail summed directly, starting from the term at j.
-    log_term = -x + j * math.log(x) - math.lgamma(j + 1)
-    term = math.exp(log_term)
+    term = _poisson_pmf(x, j)
     total = 0.0
     i = j
     while term > 0.0:
@@ -222,7 +221,7 @@ def _is_supercritical(r: int, k: int, c: float, n: int, trials: int, seed: int) 
     """Median core size over `trials` sampled instances exceeds _CORE_FRAC * n."""
     sizes = []
     for t in range(trials):
-        params = ModelParams(r=r, n=n, c=c, seed=mix_seed(seed, t), k=k)
+        params = ModelParams(r=r, n=n, c=c, seed=mix_seed(seed, t))
         h = sample_binomial_hypergraph(params)
         trace = parallel_peel(h, k)
         sizes.append(trace.core_vertices.size)
@@ -236,12 +235,10 @@ def compute_threshold_empirical(
     trials: int = 9,
     tol: float = _EMPIRICAL_TOL,
     seed: int = 0,
-    c_lo: float = 0.25,
-    c_hi: float | None = None,
 ):
-    """Bisection estimate of the critical c: at each candidate, sample and
-    peel `trials` instances and classify supercritical iff the median core
-    exceeds _CORE_FRAC * n.
+    """Bisection estimate of the critical c on [0.25, 8 * (r-1)! * k]: at each
+    candidate, sample and peel `trials` instances and classify supercritical
+    iff the median core exceeds _CORE_FRAC * n.
 
     Returns (c_mid, (c_lo, c_hi)) with final bracket width <= tol * c_mid.
     Finite-size rounding stays below tol for n >= 1e5 at the (r, k) pairs
@@ -251,8 +248,7 @@ def compute_threshold_empirical(
         raise PeelkitError(f"trials must be >= 1, got {trials}")
     if not tol > 0:  # NaN too
         raise PeelkitError(f"tol must be > 0, got {tol}")
-    if c_hi is None:
-        c_hi = 8.0 * math.factorial(r - 1) * k
+    c_lo, c_hi = 0.25, 8.0 * math.factorial(r - 1) * k
     if _is_supercritical(r, k, c_lo, n, trials, seed):
         raise BracketError(f"lower bracket c={c_lo} already supercritical")
     if not _is_supercritical(r, k, c_hi, n, trials, seed):

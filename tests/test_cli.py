@@ -202,6 +202,24 @@ class TestSweepFit:
                             "correlation"}
         assert fit["model"] == "log"
 
+    @pytest.mark.parametrize("rows,argv,message", [
+        (["3,2,6.0,256,0,5,4,0,0,3", "3,2,6.0,1024,0,5,4,0,0,3",
+          "3,2,7.0,4096,0,5,4,0,0,3", "#done"], [],
+         "{out} line 4: r,k,c '3,2,7.0' differ from the first row's '3,2,6.0'; "
+         "a CSV holds one sweep"),
+        (["3,2,6.0,256,0,5,4,0,0,3", "#done", "3,2,6.0,512,0,5,4,0,0,3"], [],
+         "{out} line 4: line after '#done': '3,2,6.0,512,0,5,4,0,0,3'"),
+        ([f"3,2,6.0,{n},0,5,4,0,0,3" for n in (64, 256, 1024)] + ["#done"],
+         ["--drop-smallest", "-1"], "drop_smallest must be >= 0, got -1"),
+    ], ids=["mixed_c", "after_done", "negative_drop"])
+    def test_fit_rejects_exits_2(self, tmp_path, capsys, rows, argv, message):
+        out = tmp_path / "sweep.csv"
+        out.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+        assert cli.main(["fit", "--in", str(out), "--model", "log", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"peelkit: error: {message.format(out=out)}\n"
+
     def test_malformed_row_exits_2(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         row = "3,2,6.0,256,0,5,x,0,0,3"  # rounds is not an integer

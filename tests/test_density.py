@@ -173,7 +173,7 @@ class TestContraction:
         # vertex 0 and the single edge go in round 1, vertices 1..4 stay
         # with no edge: 4 vertices of degree >= 2 held up by 1 edge
         trace = PeelingTrace(
-            k=2, vertex_round=np.array([1, 0, 0, 0, 0]), edge_round=np.array([1])
+            vertex_round=np.array([1, 0, 0, 0, 0]), edge_round=np.array([1])
         )
         report = contraction_check(trace, 2, 2)
         assert report.ok is False

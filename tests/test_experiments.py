@@ -23,12 +23,12 @@ from peelkit import (
 
 class TestRunTrial:
     def test_p_zero_one_round(self):
-        rec = run_trial(ModelParams(r=2, n=50, c=0.0, seed=1, k=2))
+        rec = run_trial(ModelParams(r=2, n=50, c=0.0, seed=1, k=2), 30)
         assert rec.s == 1  # all isolated vertices drop in round 1
         assert rec.core_vertices == 0 and rec.core_edges == 0
 
     def test_p_one_k5_core(self):
-        rec = run_trial(ModelParams(r=2, n=5, c=5.0, seed=1, k=2))
+        rec = run_trial(ModelParams(r=2, n=5, c=5.0, seed=1, k=2), 30)
         assert rec.s == 0
         assert rec.core_vertices == 5 and rec.core_edges == 10
 
@@ -39,7 +39,7 @@ class TestRunTrial:
 
     def test_requires_k(self):
         with pytest.raises(PeelkitError):
-            run_trial(ModelParams(r=2, n=10, c=0.5, seed=0))
+            run_trial(ModelParams(r=2, n=10, c=0.5, seed=0), 30)
 
     def test_component_probe(self):
         # probe at round 0 sees the whole graph's largest component
@@ -74,7 +74,7 @@ class TestRunTrial:
         m = sample_binomial_hypergraph(params).m
         tracemalloc.start()
         try:
-            run_trial(params)
+            run_trial(params, 30)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -153,6 +153,40 @@ class TestSweep:
             f"{path} line 4: not 10 fields with integers from n on: {row!r}"
         )
 
+    @pytest.mark.parametrize("rows,lineno,message", [
+        (["3,2,7.0,512,0,5,4,0,0,3"], 4, "r,k,c '3,2,7.0' differ from the first row's "
+         "'3,2,6.0'; a CSV holds one sweep"),
+        (["3,2,6,512,0,5,4,0,0,3"], 4, "r,k,c '3,2,6' differ from the first row's "
+         "'3,2,6.0'; a CSV holds one sweep"),
+        (["4,2,6.0,512,0,5,4,0,0,3"], 4, "r,k,c '4,2,6.0' differ from the first row's "
+         "'3,2,6.0'; a CSV holds one sweep"),
+        (["#done", "3,2,6.0,512,0,5,4,0,0,3"], 5,
+         "line after '#done': '3,2,6.0,512,0,5,4,0,0,3'"),
+    ], ids=["c", "c_text", "r", "after_done"])
+    def test_row_from_another_sweep_names_line(self, tmp_path, rows, lineno, message):
+        path = tmp_path / "mixed.csv"
+        body = "\n".join(rows)
+        path.write_text(f"{experiments.CSV_HEADER}\n3,2,6.0,256,0,5,4,0,0,3\n\n{body}\n#done\n")
+        with pytest.raises(PeelkitError) as err:
+            read_sweep_csv(path)
+        assert str(err.value) == f"{path} line {lineno}: {message}"
+
+    @pytest.mark.parametrize("rkc", ["3,2,abc", "3,x,6.0", "3.0,2,6.0", "-3,2,6.0", "3,2,"])
+    def test_first_row_rkc_must_parse(self, tmp_path, rkc):
+        path = tmp_path / "bad.csv"
+        row = f"{rkc},256,0,5,4,0,0,3"
+        path.write_text(f"{experiments.CSV_HEADER}\n{row}\n#done\n")
+        with pytest.raises(PeelkitError) as err:
+            read_sweep_csv(path)
+        assert str(err.value) == (
+            f"{path} line 2: r and k must be integers and c a float: {row!r}"
+        )
+
+    def test_blank_lines_after_done_accepted(self, tmp_path):
+        path = tmp_path / "ok.csv"
+        path.write_text(f"{experiments.CSV_HEADER}\n3,2,6.0,256,0,5,4,0,0,3\n#done\n\n  \n")
+        assert [r.s for r in read_sweep_csv(path)] == [4]
+
     def test_config_validation(self):
         with pytest.raises(PeelkitError):
             SweepConfig(r=2, k=2, c=1.0, n_min=5, n_max=100, points=3,
@@ -215,6 +249,11 @@ class TestFitGrowth:
         )
         fit = fit_growth(recs, "log", drop_smallest=1)
         assert fit.slope == pytest.approx(0.5, abs=1e-9)
+
+    def test_negative_drop_smallest_rejected(self):
+        recs = synthetic_records([64, 256, 1024, 4096], lambda n: 1.0)
+        with pytest.raises(PeelkitError, match=r"^drop_smallest must be >= 0, got -1$"):
+            fit_growth(recs, "log", drop_smallest=-1)
 
     def test_too_few_points(self):
         with pytest.raises(PeelkitError):

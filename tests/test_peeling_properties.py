@@ -18,6 +18,7 @@ from peelkit import (
     ModelParams,
     build_hypergraph,
     compute_threshold_analytic,
+    contraction_check,
     graph_after_rounds,
     hypergraph,
     parallel_peel,
@@ -85,7 +86,9 @@ def test_trace_matches_replay(h, k):
     trace = parallel_peel(h, k)
     states = replay(h, k)
     assert trace.s == len(states) - 1
-    assert trace.initial_deg_ge_k == deg_ge_k(h, k, states[0])
+    if trace.s:
+        first = contraction_check(trace, h.r, k).rounds[0]
+        assert first["deg_ge_k_count"] == deg_ge_k(h, k, states[0])
     for i in range(trace.s + 3):
         v, e = graph_after_rounds(trace, i)
         assert (v.tolist(), e.tolist()) == states[min(i, trace.s)]
@@ -107,11 +110,13 @@ def test_trace_matches_replay(h, k):
 @given(hypergraphs(), k_values)
 def test_int64_ids_give_the_same_results(h, k):
     """The int64 path, which only n >= 2^31 - 1 would take, run on small
-    graphs: it must agree with the int32 one."""
+    graphs: it must agree with the int32 one.  The core ids are at id width
+    and are the graph after the last round."""
     narrow = parallel_peel(h, k)
     narrow_after = [graph_after_rounds(narrow, i) for i in range(narrow.s + 2)]
     for v, e in narrow_after:
         assert v.dtype == np.int32 and e.dtype == np.int32
+    assert_core_is_last_round(narrow, np.int32)
     labels = hypergraph.component_labels(h.n, h.edges)
     assert labels.dtype == np.int32
     wide = Hypergraph(r=h.r, n=h.n, edges=h.edges.astype(np.int64))
@@ -122,6 +127,7 @@ def test_int64_ids_give_the_same_results(h, k):
         assert trace.vertex_round.dtype == np.int64
         assert trace.vertex_round.tolist() == narrow.vertex_round.tolist()
         assert trace.edge_round.tolist() == narrow.edge_round.tolist()
+        assert_core_is_last_round(trace, np.int64)
         wide_labels = hypergraph.component_labels(h.n, wide.edges)
         assert wide_labels.dtype == np.int64
         assert wide_labels.tolist() == labels.tolist()
@@ -129,6 +135,13 @@ def test_int64_ids_give_the_same_results(h, k):
             wide_v, wide_e = graph_after_rounds(trace, i)
             assert wide_v.dtype == np.int64 and wide_e.dtype == np.int64
             assert wide_v.tolist() == v.tolist() and wide_e.tolist() == e.tolist()
+
+
+def assert_core_is_last_round(trace, dtype):
+    core = (trace.core_vertices, trace.core_edges)
+    assert core[0].dtype == dtype and core[1].dtype == dtype
+    last = graph_after_rounds(trace, trace.s)
+    assert core[0].tolist() == last[0].tolist() and core[1].tolist() == last[1].tolist()
 
 
 @pytest.mark.parametrize("gather_rows", [None, 999])
@@ -263,7 +276,8 @@ def test_cell_id_sum_carries_past_2_32():
 
 def test_kernel_choice(monkeypatch):
     """The cell kernel takes k <= 2 below its edge bound; k >= 3, and m at
-    or above the bound, take the scan kernel."""
+    or above the bound, take the scan kernel.  k is clamped to m + 1 first,
+    so a graph with m <= 1 takes the cell kernel at any k."""
     calls = []
 
     def spy(name):
@@ -287,3 +301,13 @@ def test_kernel_choice(monkeypatch):
     monkeypatch.setattr(peeling, "_CELL_EDGES", h.m + 1)
     parallel_peel(h, 2)
     assert calls == ["_scan_peel", "_cell_peel"]
+    calls.clear()
+    for edges in ([], [(0, 1, 2)]):
+        small = build_hypergraph(3, 4, edges)
+        for k in (3, 10**30):
+            trace = parallel_peel(small, k)
+            core_v, core_e = sequential_kcore(small, k)
+            assert trace.core_vertices.tolist() == core_v.tolist()
+            assert trace.core_edges.tolist() == core_e.tolist()
+            assert trace.vertex_round.tolist() == [1, 1, 1, 1]
+    assert calls == ["_cell_peel"] * 4

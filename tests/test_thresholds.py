@@ -21,6 +21,7 @@ from peelkit import (
     round_recurrence,
     threshold_objective,
     threshold_report,
+    thresholds,
 )
 
 
@@ -291,12 +292,12 @@ class TestCoefficients:
 
 
 class TestEmpirical:
-    def test_bad_bracket(self):
-        # both endpoints deep subcritical -> cannot separate phases
-        with pytest.raises(BracketError):
-            compute_threshold_empirical(
-                2, 3, n=2000, trials=3, tol=0.2, seed=1, c_lo=0.1, c_hi=0.3
-            )
+    def test_bad_bracket(self, monkeypatch):
+        # both ends of [0.25, 8 * (r-1)! * k] on one side cannot separate phases
+        for above, end in ((True, "lower"), (False, "upper")):
+            monkeypatch.setattr(thresholds, "_is_supercritical", lambda *a: above)
+            with pytest.raises(BracketError, match=f"^{end} bracket"):
+                compute_threshold_empirical(2, 3, n=2000, trials=3, tol=0.2, seed=1)
 
     def test_no_trials_rejected(self):
         with pytest.raises(PeelkitError, match="trials must be >= 1, got 0"):
