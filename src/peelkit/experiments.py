@@ -8,7 +8,9 @@ function of its config.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import platform
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,34 @@ from .peeling import graph_after_rounds, parallel_peel
 CSV_HEADER = "r,k,c,n,trial,seed,rounds,core_vertices,core_edges,max_component_after_I"
 CSV_FOOTER = "#done"
 _BLOCK = 1 << 14
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt's parameters in glibc's malloc.h
+_MMAP_THRESHOLD = 4 << 20  # above every per-block buffer, below the n-sized arrays
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD  # glibc's own ratio when it raises them
+
+
+def _pin_mmap_threshold() -> None:
+    """Serve allocations of _MMAP_THRESHOLD bytes or more from their own
+    mappings, which free() returns to the system, unless a free chunk of the
+    heap already holds them.  Process-wide, and the same on every call.
+
+    glibc raises its mmap threshold to the size of each freed mapping, up to
+    32 MiB, and serves smaller allocations from its heap after that.  The heap
+    keeps freed memory resident, so once a trial had freed its arrays the
+    next trials' arrays went to the heap, and their peak RSS depended on where
+    earlier allocations had left holes: a sweep to n = 2^22 peaked at 175 MB
+    or at 195-213 MB depending on its seed.  A fixed threshold turns that off.
+    It also stops glibc from raising the trim threshold, so that is set too:
+    at glibc's default of 128 KiB the heap gave back and refaulted the
+    smaller arrays and per-block buffers it still serves, and a sweep ran
+    10-15 % slower.  A higher trim threshold is faster still, but the free
+    heap it keeps then serves arrays above the mmap threshold again.  Trials
+    call this, not the import: a `gen` -> `peel` cycle at n = 2^20, which
+    does not repeat trials, ran about 20 % slower with the threshold pinned.
+    """
+    if platform.libc_ver()[0] == "glibc":
+        libc = ctypes.CDLL(None)
+        libc.mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+        libc.mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 @dataclass
@@ -91,11 +121,13 @@ def run_trial(params: ModelParams, i_probe: int) -> TrialRecord:
     graph, and the graph before the probe's component labelling, so only one
     graph-sized working set is alive at a time: the probe's edge rows, which
     the labelling only reads.  The rows are released before the components
-    are counted.
+    are counted.  A trial pins glibc's mmap threshold for the rest of the
+    process (`_pin_mmap_threshold`).
     """
     if params.k is None:
         raise PeelkitError("params.k is required for a trial")
     _check_i_probe(i_probe)
+    _pin_mmap_threshold()
     h = sample_binomial_hypergraph(params)
     trace = parallel_peel(h, params.k)
     s = trace.s

@@ -1,7 +1,12 @@
 """Tests for trials, sweeps, CSV output, and growth-law fitting."""
 
+import ctypes
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +84,38 @@ class TestRunTrial:
         finally:
             tracemalloc.stop()
         assert peak / m < 32, f"{peak / m:.1f} B per sampled edge"
+
+    @pytest.mark.skipif(
+        not hasattr(ctypes.CDLL(None), "mallinfo2"), reason="needs glibc >= 2.33"
+    )
+    def test_large_arrays_stay_mapped_after_a_larger_one_is_freed(self):
+        # glibc's default raises its mmap threshold to the size of each freed
+        # mapping, so after a 24 MiB array is freed an 8 MiB one would come
+        # from the heap; a trial pins the threshold.  A fresh process, since
+        # an 8 MiB hole already in this one's heap would serve it either way.
+        code = (
+            "import ctypes\n"
+            "import numpy as np\n"
+            "from peelkit import ModelParams, run_trial\n"
+            "class MallInfo2(ctypes.Structure):\n"
+            "    _fields_ = [(f, ctypes.c_size_t) for f in ('arena', 'ordblks',"
+            " 'smblks', 'hblks', 'hblkhd', 'usmblks', 'fsmblks', 'uordblks',"
+            " 'fordblks', 'keepcost')]\n"
+            "libc = ctypes.CDLL(None)\n"
+            "libc.mallinfo2.restype = MallInfo2\n"
+            "run_trial(ModelParams(r=3, n=64, c=2.0, seed=1, k=2), 30)\n"
+            "np.ones(24 << 20, dtype=np.uint8)  # mapped, then freed\n"
+            "before = libc.mallinfo2().hblkhd\n"
+            "a = np.ones(8 << 20, dtype=np.uint8)\n"
+            "print(libc.mallinfo2().hblkhd - before)\n"
+        )
+        src = str(Path(experiments.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) >= 8 << 20, "the 8 MiB array came from the heap"
 
 
 class TestSweep:
