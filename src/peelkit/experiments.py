@@ -74,6 +74,9 @@ class SweepConfig:
         if self.trials < 1:
             raise PeelkitError(f"trials must be >= 1, got {self.trials}")
         _check_i_probe(self.i_probe)
+        for name, n in (("n_min", self.n_min), ("n_max", self.n_max)):
+            if n >= 1 << 63:
+                raise PeelkitError(f"{name} = {n} is not below 2^63, the bound on n")
         # n_max == n_min is a deliberate one-n sweep; any other range must
         # give `points` increasing n (a reversed one gives only n_min), or the
         # growth fit fails after the sweep.
@@ -86,11 +89,14 @@ class SweepConfig:
             )
 
     def n_grid(self) -> list[int]:
-        grid = np.geomspace(self.n_min, self.n_max, self.points)
-        out = []
-        for n in np.rint(grid).astype(np.int64):
-            if not out or n > out[-1]:
-                out.append(int(n))
+        """The distinct increasing n of a geometric grid from n_min to n_max,
+        both ends exact.  Points are rounded as Python ints: past 2^53 a
+        float is not n_max, and int64 would wrap at 2^63."""
+        inner = np.geomspace(self.n_min, self.n_max, self.points)[1:-1]
+        out = [self.n_min]
+        for n in [*(min(round(x), self.n_max) for x in inner.tolist()), self.n_max]:
+            if n > out[-1]:
+                out.append(n)
         return out
 
 

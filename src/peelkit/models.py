@@ -119,22 +119,17 @@ def _random_subsets(n: int, r: int, size: int, rng: np.random.Generator) -> list
 
     Rows are drawn by Floyd's algorithm (for j = n-r .. n-1 take t uniform in
     [0, j], or j itself if t was taken), which never repeats a vertex, so no
-    row is rejected even when r is close to n.  Each column is drawn at int64
-    and copied into its id-width column as soon as it is complete, so one
-    int64 column is alive at a time.  The id-width column is allocated before
-    the draw it keeps, so that it, not the short-lived draw, takes the memory
-    a previous graph left free.  An odd-even transposition network of column
-    minima and maxima then sorts each row.
+    row is rejected even when r is close to n.  Each column is drawn at id
+    width; below 2^32 numpy's bounded generator takes the same 32-bit values
+    for it as for an int64 column.  An odd-even transposition network of
+    column minima and maxima then sorts each row.
     """
     cols = []
     for j in range(n - r, n):
-        cols.append(np.empty(size, dtype=id_dtype(n)))
-        t = rng.integers(0, j + 1, size=size)
-        for col in cols[:-1]:
+        t = rng.integers(0, j + 1, size=size, dtype=id_dtype(n))
+        for col in cols:
             np.copyto(t, j, where=t == col)
-        # ids are in [0, n), so narrowing to id width cannot wrap
-        np.copyto(cols[-1], t, casting="unsafe")
-        del t
+        cols.append(t)
     _sort_rows(cols)
     return cols
 
@@ -144,38 +139,27 @@ def _edges_by_largest(cols: list, n: int) -> np.ndarray:
     at `id_dtype(n)`, stably ordered by the last column (ties keep their
     order).
 
-    LSD radix passes over the bits of the last column; each pass is one int64
-    sort of (digit << position bits) | position, several times faster than a
-    stable argsort.  One pass covers the whole column whenever n * m < 2^63,
-    and then the high bits of the sorted key are the sorted column itself.
-    The edge array is allocated only after the first sort.
+    Whenever bits(n - 1) + bits(m) <= 63 that order is one int64 sort of
+    (last << position bits) | position, several times faster than a stable
+    argsort, and the high bits of the sorted key are the sorted column
+    itself; the edge array is allocated only after the sort.  Past that line
+    it is one stable argsort of the last column.
     """
     r, m = len(cols), cols[0].size
     pos_bits = m.bit_length()
-    digit_bits = 63 - pos_bits
-    passes = range(0, (n - 1).bit_length(), digit_bits)
-    last = cols.pop()
-    packed = last.astype(np.int64)
-    last = last if len(passes) > 1 else None  # else the sorted key holds it
-    order = None
-    for shift in passes:
-        if order is not None:
-            packed = last[order].astype(np.int64, copy=False)
-            packed >>= shift
-        packed &= (1 << digit_bits) - 1
-        packed <<= pos_bits
+    if (n - 1).bit_length() + pos_bits > 63:
+        order = np.argsort(cols[-1], kind="stable")
+        edges = np.empty((m, r), dtype=id_dtype(n), order="F")
+    else:
+        order = cols.pop().astype(np.int64)
+        order <<= pos_bits
         for start in range(0, m, 1 << 16):  # no full-length arange
             stop = min(start + (1 << 16), m)
-            packed[start:stop] |= np.arange(start, stop)
-        packed.sort()
-        if order is None:
-            edges = np.empty((m, r), dtype=id_dtype(n), order="F")
-        if last is None:
-            np.right_shift(packed, pos_bits, out=edges[:, -1], casting="unsafe")
-        packed &= (1 << pos_bits) - 1
-        order = packed if order is None else order[packed]
-    if last is not None:
-        edges[:, -1] = last[order]
+            order[start:stop] |= np.arange(start, stop)
+        order.sort()
+        edges = np.empty((m, r), dtype=id_dtype(n), order="F")
+        np.right_shift(order, pos_bits, out=edges[:, -1], casting="unsafe")
+        order &= (1 << pos_bits) - 1
     for j, col in enumerate(cols):
         # mode="clip" writes into `out` directly; "raise" would buffer it
         np.take(col, order, out=edges[:, j], mode="clip")

@@ -190,6 +190,17 @@ def _bisect(above, lo: float, hi: float, tol: float) -> float:
     return hi
 
 
+def _check_search(r: int, k: int, tol: float) -> None:
+    """Reject what neither threshold search takes: an (r, k) without a
+    threshold, or a `tol` that is not finite and > 0."""
+    if r < 2 or k < 2 or (r, k) == (2, 2):
+        raise PeelkitError(f"threshold undefined for r={r}, k={k}")
+    if not tol > 0:  # NaN too
+        raise PeelkitError(f"tol must be > 0, got {tol}")
+    if tol == math.inf:
+        raise PeelkitError(f"tol must be finite, got {tol}")
+
+
 def compute_threshold_analytic(r: int, k: int, tol: float = 1e-9):
     """Minimize the threshold objective: returns (x_star, lambda_star,
     c_analytic) with c_analytic = (r-1)! * lambda_star.
@@ -197,12 +208,9 @@ def compute_threshold_analytic(r: int, k: int, tol: float = 1e-9):
     The objective x / rho(x)^(r-1), rho(x) = P(Po(x) >= k-1), falls and then
     rises; x_star is where the sign of its derivative, that of rho(x) - (r-1)
     * x * P(Po(x) = k-2), turns non-negative, found by bisection on [1e-3, 50]
-    to interval width `tol` (> 0), or to float spacing.
+    to interval width `tol` (finite, > 0), or to float spacing.
     """
-    if r < 2 or k < 2 or (r, k) == (2, 2):
-        raise PeelkitError(f"threshold undefined for r={r}, k={k}")
-    if not tol > 0:  # NaN too
-        raise PeelkitError(f"tol must be > 0, got {tol}")
+    _check_search(r, k, tol)
 
     def rising(x: float) -> bool:
         return poisson_tail(x, k - 1) - (r - 1) * x * _poisson_pmf(x, k - 2) >= 0
@@ -244,10 +252,9 @@ def compute_threshold_empirical(
     Finite-size rounding stays below tol for n >= 1e5 at the (r, k) pairs
     exercised here.
     """
+    _check_search(r, k, tol)
     if trials < 1:
         raise PeelkitError(f"trials must be >= 1, got {trials}")
-    if not tol > 0:  # NaN too
-        raise PeelkitError(f"tol must be > 0, got {tol}")
     c_lo, c_hi = 0.25, 8.0 * math.factorial(r - 1) * k
     if _is_supercritical(r, k, c_lo, n, trials, seed):
         raise BracketError(f"lower bracket c={c_lo} already supercritical")

@@ -79,6 +79,8 @@ class TestThreshold:
         (["--tol", "0"], "tol must be > 0, got 0.0"),
         (["--method", "empirical", "--trials", "0"], "trials must be >= 1, got 0"),
         (["--method", "empirical", "--tol", "0"], "tol must be > 0, got 0.0"),
+        (["--tol", "inf"], "tol must be finite, got inf"),
+        (["--method", "empirical", "--tol", "inf"], "tol must be finite, got inf"),
     ])
     def test_bad_argument_exits_2(self, capsys, argv, fault):
         assert cli.main(["threshold", "--r", "3", "--k", "2", *argv]) == 2
@@ -137,6 +139,18 @@ class TestErrors:
                 "--seed", "5", "--i-probe", "-1", "--out", str(out)]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == "peelkit: error: i_probe must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_max", [2**63, 10**30])
+    def test_n_max_past_int64_exits_2(self, tmp_path, capsys, n_max):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--r", "3", "--k", "2", "--c", "6", "--n-min", "256",
+                "--n-max", str(n_max), "--points", "3", "--trials", "2",
+                "--seed", "5", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"peelkit: error: n_max = {n_max} is not below 2^63, the bound on n\n"
+        )
         assert not out.exists()
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):

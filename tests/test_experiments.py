@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -252,6 +253,24 @@ class TestSweep:
         config = SweepConfig(r=2, k=3, c=1.0, n_min=2**5, n_max=2**8,
                              points=4, trials=1, master_seed=0)
         assert config.n_grid() == [32, 64, 128, 256]
+
+    @pytest.mark.parametrize("n_min, n_max, name", [
+        (256, 2**63, "n_max"), (256, 10**30, "n_max"), (2**63, 100, "n_min"),
+    ])
+    def test_n_past_int64_rejected(self, n_min, n_max, name):
+        n = n_min if name == "n_min" else n_max
+        with pytest.raises(PeelkitError, match=f"^{name} = {n} is not below 2\\^63"):
+            SweepConfig(r=3, k=2, c=1.0, n_min=n_min, n_max=n_max, points=3,
+                        trials=1, master_seed=0)
+
+    @pytest.mark.parametrize("n_max", [2**53 + 1, 2**62 + 12345, 2**63 - 1])
+    def test_grid_ends_at_n_max_past_float_precision(self, n_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no int64 wrap on the way
+            grid = SweepConfig(r=3, k=2, c=1.0, n_min=256, n_max=n_max, points=4,
+                               trials=1, master_seed=0).n_grid()
+        assert len(grid) == 4 and grid[0] == 256 and grid[-1] == n_max
+        assert all(type(n) is int for n in grid) and grid == sorted(set(grid))
 
 
 def synthetic_records(ns, f):

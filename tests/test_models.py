@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -195,7 +195,7 @@ def test_sampled_edges_at_id_width(n, width):
         # int64 ids
         (2, 2**31 - 1, 2.0**-26, 3, 21, np.int64,
          "80c7c9674371716019a042f4341bb06f6cbfaf1d97075ebacf3c0475efe6cbb6"),
-        # bits(n - 1) + bits(m) = 62 + 7 > 63: several radix passes
+        # bits(n - 1) + bits(m) = 62 + 7 > 63: a stable argsort, not the packed sort
         (2, 2**62, 2.0**-55, 3, 68, np.int64,
          "f22b06bc823e20a44672dd1df4de8cec318662773a7a547bae7da3ac98a7cf07"),
     ],
@@ -212,13 +212,12 @@ def test_sampler_memory_budget():
     # identity gather, a full-length arange and a second copy of the edges
     # took it to about 36 B/edge with numpy 2.4.  With one packed sort written
     # straight into the column-major edges, the peak is the duplicate check
-    # on the int64 draws: about 33.  Draws narrowed to id width as each is
-    # drawn, and a row sort that exchanges through one block-long buffer,
-    # take it to about 28.3, in the final ordering of the edges.  A warm-up
-    # draw at small n first imports what the sampler imports lazily
-    # (numpy.random), so the budget does not depend on what the test process
-    # imported before (3 B/edge more when the import falls inside the traced
-    # window).
+    # on the int64 draws: about 33.  Draws at id width, and a row sort that
+    # exchanges through one block-long buffer, take it to about 28.3, in the
+    # final ordering of the edges.  A warm-up draw at small n first imports
+    # what the sampler imports lazily (numpy.random), so the budget does not
+    # depend on what the test process imported before (3 B/edge more when
+    # the import falls inside the traced window).
     c = 1.25 * compute_threshold_analytic(3, 2)[2]
     params = ModelParams(r=3, n=2**18, c=c, seed=17)
     sample_binomial_hypergraph(ModelParams(r=3, n=64, c=c, seed=17))
@@ -247,8 +246,13 @@ class TestSamplerHelpers:
         st.integers(2, 2**62),
         st.lists(st.tuples(*[st.integers(0, 2**62)] * 3), max_size=40),
     )
+    # bits(n - 1) + bits(m) = 62 + 1 = 63: the packed sort, at its limit
+    @example(2**62, [(0, 1, 2**62 - 1)])
+    # 62 + 2 = 64: the stable argsort, with a tie to keep in order
+    @example(2**62, [(3, 1, 2**62 - 1), (0, 2, 2**62 - 1), (0, 1, 5)])
     def test_edges_by_largest_is_a_stable_sort_by_the_last_column(self, n, rows):
-        # large n forces several radix passes
+        # n up to 2^62 takes both orderings: the packed sort while
+        # bits(n - 1) + bits(m) <= 63, the argsort past it
         rows = np.array([[v % n for v in row] for row in rows], dtype=np.int64)
         rows = rows.reshape(-1, 3).astype(id_dtype(n))
         edges = _edges_by_largest([rows[:, j].copy() for j in range(3)], n)

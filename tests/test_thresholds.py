@@ -128,6 +128,10 @@ class TestAnalytic:
         with pytest.raises(PeelkitError, match="tol must be > 0"):
             compute_threshold_analytic(3, 2, tol=tol)
 
+    def test_tol_not_finite_rejected(self):
+        with pytest.raises(PeelkitError, match="^tol must be finite, got inf$"):
+            compute_threshold_analytic(3, 2, tol=math.inf)
+
     def test_c_hat_r3_k2_pinned(self):
         # bench/ and the acceptance sweeps derive their c from this value
         assert compute_threshold_analytic(3, 2)[2] == 4.910814964568256
@@ -307,6 +311,22 @@ class TestEmpirical:
     def test_tol_not_positive_rejected(self, tol):
         with pytest.raises(PeelkitError, match="tol must be > 0"):
             compute_threshold_empirical(2, 3, n=2000, trials=3, tol=tol)
+
+    def test_tol_not_finite_rejected(self):
+        with pytest.raises(PeelkitError, match="^tol must be finite, got inf$"):
+            compute_threshold_empirical(2, 3, n=2000, trials=3, tol=math.inf)
+
+    @pytest.mark.parametrize("r, k", [(2, 2), (2, 1), (1, 3)])
+    def test_pairs_without_a_threshold_rejected_as_by_the_analytic_search(self, r, k):
+        # the same check and text as compute_threshold_analytic, before any sampling
+        with pytest.raises(PeelkitError) as analytic:
+            compute_threshold_analytic(r, k)
+        with pytest.raises(PeelkitError) as empirical:
+            compute_threshold_empirical(r, k, n=2000, trials=3, tol=0.1)
+        assert type(empirical.value) is PeelkitError
+        assert str(empirical.value) == str(analytic.value) == (
+            f"threshold undefined for r={r}, k={k}"
+        )
 
     def test_small_scale_estimate(self):
         # coarse n: just check the bisection lands in the right region
