@@ -198,11 +198,13 @@ def sweep(config: SweepConfig) -> list[TrialRecord]:
 
 
 def write_sweep_csv(records: list[TrialRecord], config: SweepConfig, path) -> None:
+    # a float's repr reads back exactly; a numpy scalar's is np.float64(...)
+    c = repr(float(config.c))
     with open(path, "w", newline="") as f:
         f.write(CSV_HEADER + "\n")
         for rec in records:
             f.write(
-                f"{config.r},{config.k},{config.c!r},{rec.n},{rec.trial_index},"
+                f"{config.r},{config.k},{c},{rec.n},{rec.trial_index},"
                 f"{rec.seed},{rec.s},{rec.core_vertices},{rec.core_edges},"
                 f"{rec.max_component_after_I}\n"
             )

@@ -346,11 +346,11 @@ def read_hg(path) -> Hypergraph:
     try:
         return build_hypergraph(r, n, arr)
     except PeelkitError as err:
+        # an error with no row is about the header's n
         row = getattr(err, "row", None)
-        if row is None:
-            raise
-        row_line = next(itertools.islice(_edge_lines(path, lineno), row, None))[0]
-        raise type(err)(f"{path} line {row_line}: {err}") from None
+        if row is not None:
+            lineno = next(itertools.islice(_edge_lines(path, lineno), row, None))[0]
+        raise type(err)(f"{path} line {lineno}: {err}") from None
 
 
 def _edge_lines(path, header_line: int):

@@ -98,20 +98,32 @@ def parallel_peel(h: Hypergraph, k: int) -> PeelingTrace:
     edge, which a per-vertex (degree, edge-id sum) cell names directly, so a
     round costs O(edges it removes) in all (`_cell_peel`).  For k >= 3, or
     m >= 2^30, each round scans the live rows for the ones that touch a
-    removed vertex (`_scan_peel`).  Neither kernel writes h.edges.
+    removed vertex (`_scan_peel`).  The kernels only run the rounds: the
+    columns, edge_round and the decoded trace are made here.  Neither kernel
+    writes h.edges.
     """
     if k < 1:
         raise PeelkitError(f"k must be >= 1, got {k}")
     # No degree exceeds m, so a k above m + 1 removes what m + 1 does, and
     # m + 1 fits either kernel's degree type.
     k = min(k, h.m + 1)
-    if k <= 2 and h.m < _CELL_EDGES:
-        return _cell_peel(h, k)
-    return _scan_peel(h, k)
+    # Read only: a copy is made only for a row-major h.edges.
+    cols = [np.ascontiguousarray(h.edges[:, j]) for j in range(h.r)]
+    # int32 ids halve the memory traffic of every gather and compaction.  The
+    # trace's array outlives the kernel's per-vertex array, so it is allocated
+    # first: it takes the memory a previous graph left free.
+    edge_round = np.zeros(h.m, dtype=id_dtype(max(h.n, h.m)))
+    kernel = _cell_peel if k <= 2 and h.m < _CELL_EDGES else _scan_peel
+    # minus the round of each removed vertex, a value >= 0 for a core vertex;
+    # it is vertex_round itself when it has edge_round's dtype
+    parked = kernel(cols, h.n, k, edge_round)
+    np.negative(parked, out=parked)
+    np.maximum(parked, 0, out=parked)
+    return PeelingTrace(parked.astype(edge_round.dtype, copy=False), edge_round)
 
 
-def _cell_peel(h: Hypergraph, k: int) -> PeelingTrace:
-    """parallel_peel for k <= 2 and m < _CELL_EDGES.
+def _cell_peel(cols: list, n: int, k: int, edge_round: np.ndarray) -> np.ndarray:
+    """The rounds of parallel_peel for k <= 2 and m < _CELL_EDGES.
 
     Each vertex keeps one int64 cell, deg * 2^32 + (sum of its live edge
     ids), as an invertible Bloom lookup table keeps a count and a key sum
@@ -121,15 +133,10 @@ def _cell_peel(h: Hypergraph, k: int) -> PeelingTrace:
     live edge.  deg < k is cell < k * 2^32 for k <= 2, since a
     vertex of degree 0 or 1 has an id sum below 2^30.  A removed vertex's
     cell is parked at minus its round, which as uint64 is above every live
-    cell, so the cells also hold the vertex rounds until the end.
+    cell, so the cells hold the vertex rounds at the end; they are returned.
     """
-    n, m = h.n, h.m
-    idx = id_dtype(max(n, m))
+    m = edge_round.size
     bound = np.uint64(k * _DEG_ONE)
-    cols = [np.ascontiguousarray(h.edges[:, j]) for j in range(h.r)]
-    # The trace's array outlives the cells, so it is allocated first: it, not
-    # the cells, takes the memory a previous graph left free.
-    edge_round = np.zeros(m, dtype=idx)
     cell = np.zeros(n, dtype=np.int64)
     # one block of 2^32 + id at a time, so that no m-long int64 array is made
     for start in range(0, m, _GATHER_ROWS):
@@ -155,7 +162,7 @@ def _cell_peel(h: Hypergraph, k: int) -> PeelingTrace:
         del hit, first
         eids -= _DEG_ONE
         edge_round[eids] = i
-        touched = np.empty((h.r, eids.size), dtype=cols[0].dtype)
+        touched = np.empty((len(cols), eids.size), dtype=cols[0].dtype)
         for col, verts in zip(cols, touched):
             np.take(col, eids, out=verts)
         eids += _DEG_ONE  # what each edge added to its vertices' cells
@@ -169,38 +176,33 @@ def _cell_peel(h: Hypergraph, k: int) -> PeelingTrace:
         # column at a time keeps the cell gather to 1/r of the touched
         # entries, which kept the subcritical sweep's RSS down.
         ids = np.concatenate([verts[removable[verts] < bound] for verts in touched])
-    return _parked_trace(cell, edge_round)
+    return cell
 
 
-def _scan_peel(h: Hypergraph, k: int) -> PeelingTrace:
-    """parallel_peel for k <= m + 1, by scanning the live rows each round.
+def _scan_peel(cols: list, n: int, k: int, edge_round: np.ndarray) -> np.ndarray:
+    """The rounds of parallel_peel for k <= m + 1, by scanning the live rows
+    each round; returns the degrees, parked as _cell_peel parks its cells.
 
     The live edges are read as r contiguous index columns, so a round is one
-    blocked gather per column to find the edges it removes.  Degrees are
-    decremented at the removed edges' vertices only, and parked at minus the
-    round, as _cell_peel parks its cells.  One state byte per vertex marks it
+    blocked gather per column to find the edges it removes.  Degrees, at
+    edge_round's dtype, are decremented at the removed edges' vertices only,
+    and parked at minus the round.  One state byte per vertex marks it
     removed in this round (1) or in an earlier one (2).  OR-ed over a row it
     is exactly 1 for an edge that goes now and has bit 2 set for the row of
     an edge removed earlier, so no column is ever written.  The first rounds
-    gather from the columns of h.edges in place (views, as its edges are
-    column-major); the live rows are copied into private columns only once
-    dead rows are at least as many as live ones.
+    gather from the given columns (views of h.edges, as its edges are
+    column-major); the live rows are copied into private columns, in `cols`
+    itself, only once dead rows are at least as many as live ones.
     """
-    n, m = h.n, h.m
-    # int32 ids halve the memory traffic of every gather and compaction.
-    idx = id_dtype(max(n, m))
-    one = idx(1)  # a typed scalar keeps ufunc.at on its fast path
-    # Read only: a copy is made only for a row-major h.edges.
-    cols = [np.ascontiguousarray(h.edges[:, j]) for j in range(h.r)]
-    deg = np.zeros(n, dtype=idx)
+    one = edge_round.dtype.type(1)  # a typed scalar keeps ufunc.at on its fast path
+    deg = np.zeros(n, dtype=edge_round.dtype)
     for col in cols:
         np.add.at(deg, col, one)
     removable = deg.view(f"u{deg.itemsize}")  # parked degrees above k
     eids = None  # edge id of each row once compacted; the row itself before
-    seen_buf = np.empty(m, dtype=np.uint8)
+    seen_buf = np.empty(edge_round.size, dtype=np.uint8)
     tmp = np.empty(_GATHER_ROWS, dtype=np.uint8)
     dead = 0  # rows of removed edges still in cols
-    edge_round = np.zeros(m, dtype=idx)
 
     state = np.zeros(n, dtype=np.uint8)
     ids = np.flatnonzero(deg < k)  # may repeat a vertex after round 1
@@ -236,17 +238,7 @@ def _scan_peel(h: Hypergraph, k: int) -> PeelingTrace:
         deg[ids] = -i
         # Only a vertex whose degree just fell can have become removable.
         ids = touched[removable[touched] < k]
-    return _parked_trace(deg, edge_round)
-
-
-def _parked_trace(parked: np.ndarray, edge_round: np.ndarray) -> PeelingTrace:
-    """The trace from a kernel's per-vertex array, which holds minus the round
-    of each removed vertex and a value >= 0 for each core vertex.  `parked` is
-    overwritten, and is vertex_round itself when it has edge_round's dtype."""
-    np.negative(parked, out=parked)
-    np.maximum(parked, 0, out=parked)
-    vertex_round = parked.astype(edge_round.dtype, copy=False)
-    return PeelingTrace(vertex_round, edge_round)
+    return deg
 
 
 def sequential_kcore(h: Hypergraph, k: int):
@@ -284,12 +276,11 @@ def sequential_kcore(h: Hypergraph, k: int):
 
 
 def graph_after_rounds(trace: PeelingTrace, i: int):
-    """Surviving (vertex_ids, edge_ids) after min(i, s) peeling rounds;
-    i = 0 returns the whole graph.  The ids are ascending, vertex ids at
-    id_dtype(n) and edge ids at id_dtype(m)."""
+    """Surviving (vertex_ids, edge_ids) after i peeling rounds; i = 0 returns
+    the whole graph, and any i >= s the core.  The ids are ascending, vertex
+    ids at id_dtype(n) and edge ids at id_dtype(m)."""
     if i < 0:
         raise PeelkitError(f"round index must be >= 0, got {i}")
-    i = min(i, trace.s)
     return tuple(
         _ids((rounds == 0) | (rounds > i))
         for rounds in (trace.vertex_round, trace.edge_round)

@@ -122,15 +122,17 @@ class TestErrors:
             "exceeds budget 100000000\n"
         )
 
-    @pytest.mark.parametrize("text,fault", [
-        ("2 3 2\n0 1\n0 x\n", "non-integer token in '0 x'"),
-        ("2 3 2\n0 1\n0 3\n", "edge (0, 3) has vertex outside [0, 3)"),
-    ], ids=["token", "id_range"])
-    def test_bad_hg_line_exits_2(self, tmp_path, capsys, text, fault):
+    @pytest.mark.parametrize("text,line,fault", [
+        ("2 3 2\n0 1\n0 x\n", 3, "non-integer token in '0 x'"),
+        ("2 3 2\n0 1\n0 3\n", 3, "edge (0, 3) has vertex outside [0, 3)"),
+        ("2 -5 0\n", 1, "vertex count n must be in [0, 2^63), got -5"),
+        (f"2 {2**63} 0\n", 1, f"vertex count n must be in [0, 2^63), got {2**63}"),
+    ], ids=["token", "id_range", "n_negative", "n_2^63"])
+    def test_bad_hg_line_exits_2(self, tmp_path, capsys, text, line, fault):
         hg = tmp_path / "bad.hg"
         hg.write_text(text)
         assert cli.main(["peel", "--input", str(hg), "--k", "2"]) == 2
-        assert capsys.readouterr().err == f"peelkit: error: {hg} line 3: {fault}\n"
+        assert capsys.readouterr().err == f"peelkit: error: {hg} line {line}: {fault}\n"
 
     def test_negative_i_probe_exits_2(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

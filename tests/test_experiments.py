@@ -9,6 +9,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from peelkit import (
@@ -164,6 +165,18 @@ class TestSweep:
         assert [(r.n, r.trial_index, r.s) for r in loaded] == [
             (r.n, r.trial_index, r.s) for r in records
         ]
+
+    @pytest.mark.parametrize("c", [np.float64(2.0), np.float32(2.1)], ids=["float64", "float32"])
+    def test_numpy_c_reads_back(self, tmp_path, c):
+        # c is written as a float's repr, not as np.float64(2.0)
+        config = self.config(tmp_path, c=c)
+        records = sweep(config)
+        assert (tmp_path / "out.csv").read_text().splitlines()[1].startswith(
+            f"3,2,{float(c)!r},64,0,"
+        )
+        loaded = read_sweep_csv(config.out)
+        assert loaded == records
+        assert fit_growth(loaded, "loglog") == fit_growth(records, "loglog")
 
     def test_truncated_file_rejected(self, tmp_path):
         config = self.config(tmp_path)

@@ -293,6 +293,16 @@ class TestHgFormat:
             with pytest.raises(PeelkitError):
                 read_hg(path)
 
+    @pytest.mark.parametrize("n", [-5, 2**63], ids=["negative", "2^63"])
+    def test_bad_vertex_count_names_header_line(self, tmp_path, n):
+        path = tmp_path / "bad.hg"
+        path.write_text(f"# c\n\n2 {n} 1\n0 1\n")
+        with pytest.raises(PeelkitError) as err:
+            read_hg(path)
+        assert str(err.value) == (
+            f"{path} line 3: vertex count n must be in [0, 2^63), got {n}"
+        )
+
     @pytest.mark.parametrize("data,line", [
         (b"2 3 \xff1\n0 1\n", 1),
         (b"# c\n2 3 2\n0 1\n0 \xff\n", 4),

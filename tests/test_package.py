@@ -3,12 +3,12 @@
 import re
 from pathlib import Path
 
-import peelkit
-
 
 def test_version_matches_pyproject():
-    # requires-python allows 3.10, which has no tomllib
+    # peelkit.__version__ is the one version string: pyproject.toml reads it
+    # at build time and has no literal of its own (requires-python allows
+    # 3.10, which has no tomllib)
     text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
-    version = re.search(r'^version = "([^"]*)"$', text, re.M)
-    assert version, "no version line in pyproject.toml"
-    assert peelkit.__version__ == version.group(1)
+    assert '\ndynamic = ["version"]\n' in text
+    assert '\nversion = {attr = "peelkit.__version__"}\n' in text
+    assert not re.search(r'^version = "', text, re.M), "a literal version in pyproject.toml"

@@ -245,8 +245,9 @@ def test_cell_kernel_matches_scan_kernel(h, k, gather_rows):
     cells built over many gather blocks."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(peeling, "_GATHER_ROWS", gather_rows)
-        cell = peeling._cell_peel(h, k)
-        scan = peeling._scan_peel(h, k)
+        cell = parallel_peel(h, k)
+        mp.setattr(peeling, "_CELL_EDGES", 0)  # every graph takes the scan kernel
+        scan = parallel_peel(h, k)
     assert cell.vertex_round.tolist() == scan.vertex_round.tolist()
     assert cell.edge_round.tolist() == scan.edge_round.tolist()
 
@@ -283,9 +284,9 @@ def test_kernel_choice(monkeypatch):
     def spy(name):
         kernel = getattr(peeling, name)
 
-        def run(h, k):
+        def run(*args):
             calls.append(name)
-            return kernel(h, k)
+            return kernel(*args)
 
         monkeypatch.setattr(peeling, name, run)
 
